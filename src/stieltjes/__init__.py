@@ -45,10 +45,8 @@ from .muntz import (
     sup_norm_estimate,
 )
 from .transforms import (
-    TransformRequest,
     TransformValue,
     closed_form_ls,
-    evaluate,
     ls_carson,
     ls_direct,
     ls_survival_route,
@@ -68,7 +66,6 @@ __all__ = [
     "MuntzSequence",
     "ProductJoint",
     "TransformOracle",
-    "TransformRequest",
     "TransformValue",
     "blm_survival",
     "closed_form_ls",
@@ -76,7 +73,6 @@ __all__ = [
     "compare",
     "compute_fingerprint",
     "divergence_certificate",
-    "evaluate",
     "exponential",
     "feller_cdf",
     "gamma_dist",

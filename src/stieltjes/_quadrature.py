@@ -4,7 +4,9 @@ One fixed panel rule everywhere: the 15-point Kronrod extension of 7-point
 Gauss-Legendre, with the embedded Gauss value used for the per-panel error
 estimate.  1-D integrals are refined by worst-panel bisection; multivariate
 integrals use a tensor product of per-axis panel sets refined one axis at a
-time.  Integrands must accept numpy arrays.
+time, and integrands that are sums of products of per-axis factors
+(RankOneSum) are contracted axis by axis without forming the grid.
+Integrands must accept numpy arrays.
 """
 
 from __future__ import annotations
@@ -63,6 +65,29 @@ class QuadResult:
     value: float
     error: float
     evaluations: int
+
+
+@dataclass(frozen=True)
+class RankOneSum:
+    """Tensor-grid integrand sum_t coeffs[t] * prod_i factors[i][t, k_i],
+    held as its factors; factors[i] has shape (terms, len(nodes_i))."""
+
+    coeffs: np.ndarray
+    factors: Sequence[np.ndarray]
+
+    @property
+    def size(self) -> int:
+        """Number of factor values held (the grid itself is never formed)."""
+        return sum(f.size for f in self.factors)
+
+    def contract_except_each(self, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """For each axis j, the sum contracted with `weights` on every other
+        axis: u[j] = F_j^T (coeffs * prod_{i != j} F_i @ w_i)."""
+        g = [f @ w for f, w in zip(self.factors, weights)]
+        return [
+            f.T @ (self.coeffs * math.prod(g[:j] + g[j + 1:]))
+            for j, f in enumerate(self.factors)
+        ]
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -177,14 +202,6 @@ def _axis_breaks(spec: AxisSpec) -> list[float]:
     return sorted(set(pts) | set(extra))
 
 
-def _bisect_all(breaks: list[float]) -> list[float]:
-    out = []
-    for a, b in zip(breaks[:-1], breaks[1:]):
-        out.extend((a, 0.5 * (a + b)))
-    out.append(breaks[-1])
-    return out
-
-
 def _split_panels(breaks: list[float], panel_errs: np.ndarray) -> list[float]:
     """Split the panels carrying most of the error.
 
@@ -223,7 +240,7 @@ def _contract_except(values: np.ndarray, weights: Sequence[np.ndarray],
 
 
 def tensor_quad(
-    tensor_eval: Callable[[Sequence[np.ndarray]], np.ndarray],
+    tensor_eval: Callable[[Sequence[np.ndarray]], np.ndarray | RankOneSum],
     axes: Sequence[AxisSpec],
     tol: float,
     max_rounds: int = 10,
@@ -232,23 +249,35 @@ def tensor_quad(
     """Tensor-product Kronrod quadrature with per-axis panel refinement.
 
     `tensor_eval` receives one 1-D node array per axis and must return the
-    integrand on the full tensor grid, shape (len(n_1), ..., len(n_d)).
+    integrand on the full tensor grid, shape (len(n_1), ..., len(n_d)), or
+    the same integrand as a RankOneSum, which is contracted axis by axis
+    without forming the grid.  `evaluations` counts the grid values or
+    RankOneSum factor values computed; when the first grid is too large to
+    form whole, an uncounted one-point call first tells which form the
+    integrand takes.
     The error estimate swaps the embedded Gauss weights onto one axis at a
     time; the sum over axes is the reported error.  Refinement attributes
     each axis error to its panels and splits only the offending ones, so
     corner singularities deepen locally instead of doubling whole axes.
     """
     breaks = [_axis_breaks(ax) for ax in axes]
+    terms = None  # set once the integrand has answered with a RankOneSum
     n_evals = 0
     dim = len(axes)
 
-    for _ in range(max_rounds):
+    for round_no in range(max_rounds):
         per_axis = [_axis_arrays(b) for b in breaks]
         nodes = [p[0] for p in per_axis]
         wks = [p[1] for p in per_axis]
         wgs = [p[2] for p in per_axis]
         lens = [len(n) for n in nodes]
-        npts = math.prod(lens)
+        if round_no == 0 and math.prod(lens) > _CHUNK_LIMIT:
+            # a dense grid this large is sliced, a RankOneSum is not: a
+            # one-point call tells which this integrand is
+            probe = tensor_eval([n[:1] for n in nodes])
+            if isinstance(probe, RankOneSum):
+                terms = len(probe.coeffs)
+        npts = math.prod(lens) if terms is None else terms * sum(lens)
         if n_evals + npts > max_points:
             raise QuadratureNonConvergence(
                 f"tensor quadrature budget exceeded ({n_evals + npts:.2e} points)"
@@ -256,10 +285,15 @@ def tensor_quad(
 
         # u[j][i] = integrand contracted with Kronrod weights on every axis
         # except j, leaving a vector over axis-j nodes
-        if npts <= _CHUNK_LIMIT:
-            vals = np.asarray(tensor_eval(nodes), dtype=float)
-            n_evals += npts
-            u = [_contract_except(vals, wks, j) for j in range(dim)]
+        if terms is not None or npts <= _CHUNK_LIMIT:
+            vals = tensor_eval(nodes)
+            if isinstance(vals, RankOneSum):
+                terms = len(vals.coeffs)
+                u = vals.contract_except_each(wks)
+            else:
+                vals = np.asarray(vals, dtype=float)
+                u = [_contract_except(vals, wks, j) for j in range(dim)]
+            n_evals += vals.size
         else:
             rows = max(1, int(_CHUNK_LIMIT // max(1, npts // lens[0])))
             u = [np.zeros(lens[j]) for j in range(dim)]
@@ -277,17 +311,13 @@ def tensor_quad(
         if err <= tol:
             return QuadResult(ik, err, n_evals)
 
-        refined = False
+        # err > tol puts some errs[j] above tol/dim, so at least one axis splits
         for j in range(dim):
             if errs[j] <= tol / (2 * dim):
                 continue
             detail = (wks[j] - wgs[j]) * u[j]
             panel_errs = np.abs(detail.reshape(-1, PANEL_SIZE).sum(axis=1))
             breaks[j] = _split_panels(breaks[j], panel_errs)
-            refined = True
-        if not refined:  # pragma: no cover - defensive progress guarantee
-            worst = int(np.argmax(errs))
-            breaks[worst] = _bisect_all(breaks[worst])
 
     raise QuadratureNonConvergence(
         f"tensor quadrature stalled at error {err:.3e} > tol {tol:.3e}"

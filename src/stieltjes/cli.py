@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -78,7 +79,7 @@ def _grid_from_flag(name: str) -> MuntzSequence:
 
 def _emit(doc: dict, fmt: str, csv_rows=None) -> None:
     if fmt == "json":
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     else:
         if csv_rows is None:
             csv_rows = [list(doc.keys()), [
@@ -108,7 +109,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="distribution spec: inline JSON or a file path")
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--precision-bits", type=int,
                        default=int(os.environ.get(ENV_PRECISION, "128")))
 
@@ -182,8 +182,8 @@ def _cmd_invert(args) -> None:
     dist = _single_spec(args)
     if not isinstance(dist, dm.Distribution1D):
         raise UsageError("invert needs a univariate spec")
-    if args.x <= 0:
-        raise UsageError("x must be positive")
+    if not (math.isfinite(args.x) and args.x > 0):
+        raise UsageError("x must be positive and finite")
     if args.n < 1:
         raise UsageError("n must be >= 1")
     oracle = oracle_from_distribution(dist, precision_bits=args.precision_bits)
@@ -205,6 +205,8 @@ def _cmd_invert(args) -> None:
 
 
 def _cmd_muntz(args) -> None:
+    if not math.isfinite(args.q):
+        raise UsageError("q must be finite")
     seq = _grid_from_flag(args.grid)
     prefix = seq.prefix(args.length)
     rows = []
@@ -304,7 +306,8 @@ def main(argv=None) -> int:
         return 2
     except _NUMERICAL_FAILURES as exc:
         sys.stdout.write(json.dumps(
-            {"error": type(exc).__name__, "message": str(exc)}, indent=2
+            {"error": type(exc).__name__, "message": str(exc)}, indent=2,
+            allow_nan=False,
         ) + "\n")
         return 3
     except StieltjesError as exc:

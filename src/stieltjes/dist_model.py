@@ -26,6 +26,8 @@ from .errors import (
 )
 
 _MASS_TOL = 1e-12
+# pointwise sums of products hold at most this many term values at once
+_TERM_BLOCK = 1 << 20
 
 
 def _exp_em1ratio(u, c, t):
@@ -108,7 +110,6 @@ class Distribution1D:
         self.params = dict(params) if params else None
         self.density_at_zero = density_at_zero
         self.mean = mean
-        self._q9999 = None
 
     dim = 1
 
@@ -156,34 +157,6 @@ class Distribution1D:
             else:  # pragma: no cover
                 raise ValueError(f"unknown transform term {term[0]!r}")
         return total
-
-    @property
-    def has_closed_ls(self) -> bool:
-        return self.transform_terms is not None
-
-    def quantile(self, p: float) -> float:
-        """Generalized inverse of the CDF by bisection."""
-        if not 0 < p < 1:
-            raise ParameterOutOfRange("quantile level must lie in (0, 1)")
-        hi = 1.0
-        for _ in range(200):
-            if self.cdf(hi) >= p:
-                break
-            hi *= 2.0
-        lo = 0.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if self.cdf(mid) >= p:
-                hi = mid
-            else:
-                lo = mid
-        return hi
-
-    def tail_quantile(self) -> float:
-        """Cached 0.9999 quantile, used for integration truncation."""
-        if self._q9999 is None:
-            self._q9999 = self.quantile(0.9999)
-        return self._q9999
 
     def spec_dict(self) -> dict:
         if self.catalog_id is not None:
@@ -442,32 +415,53 @@ def mixture(components: Sequence[tuple[float, Distribution1D]]) -> Distribution1
 class JointDist:
     """Base for n-dimensional laws (n in {2,3,4}).
 
-    Subclasses provide vectorized ``cdf(*xs)`` and a kind-specific direct
-    ``survival(*xs)``, plus ``marginal(indices)`` for every proper subset of
-    axes.  ``closed_ls(s)`` returns (value, est_error) or None.
-    ``diagonal_seam`` marks 2-D kinds whose CDF has a kink on {x=y}, which
-    quadrature must split along.
+    Subclasses provide either ``separable_terms`` (the CDF and survival
+    function as finite sums of products of 1-D functions, from which the
+    pointwise ``cdf(*xs)`` / ``survival(*xs)`` here follow) or their own
+    vectorized ``cdf`` and direct ``survival``; plus ``marginal(indices)``
+    for every proper subset of axes.  ``closed_ls(s)`` returns
+    (value, est_error) or None.  ``diagonal_seam`` marks 2-D kinds whose CDF
+    has a kink on {x=y}, which quadrature must split along.
     """
 
     dim: int
     kind: str
     diagonal_seam = False
 
+    def separable_terms(self, xs, upper: bool = False):
+        """(c, [P_1, ..., P_n]) with CDF(x) = sum_t c[t] * prod_i P_i[t](x_i)
+        (the survival function when `upper`), or None when the law has no
+        such form.  P_i has shape (terms,) + shape of xs[i]; the xs are not
+        broadcast against each other.
+        """
+        return None
+
     def cdf(self, *xs):
-        raise NotImplementedError
+        return self._sum_of_products(xs, upper=False)
 
     def survival(self, *xs):
-        raise NotImplementedError
+        return self._sum_of_products(xs, upper=True)
+
+    def _sum_of_products(self, xs, upper):
+        terms = self.separable_terms([np.asarray(x, dtype=float) for x in xs], upper)
+        if terms is None:
+            raise NotImplementedError(f"{self.kind}: no pointwise evaluator")
+        c, factors = terms
+        # contract the terms in blocks so a large grid of points never
+        # holds every term at once
+        size = math.prod(np.broadcast_shapes(*(f.shape[1:] for f in factors)))
+        step = max(1, _TERM_BLOCK // max(1, size))
+        out = sum(
+            np.tensordot(c[a:a + step], math.prod(f[a:a + step] for f in factors), axes=1)
+            for a in range(0, len(c), step)
+        )
+        return float(out) if out.ndim == 0 else out
 
     def marginal(self, indices: tuple[int, ...]):
         raise MissingMarginal(f"{self.kind}: marginal {indices} unavailable")
 
     def closed_ls(self, s: Sequence[float]):
         return None
-
-    @property
-    def has_closed_ls(self) -> bool:
-        return self.closed_ls([1.0] * self.dim) is not None
 
     def spec_dict(self) -> dict:
         return {"kind": self.kind, "params": dict(self.params)}
@@ -484,17 +478,11 @@ class ProductJoint(JointDist):
         self.factors = tuple(factors)
         self.dim = len(factors)
 
-    def cdf(self, *xs):
-        out = 1.0
-        for f, x in zip(self.factors, xs):
-            out = out * f.cdf(x)
-        return out
-
-    def survival(self, *xs):
-        out = 1.0
-        for f, x in zip(self.factors, xs):
-            out = out * f.survival(x)
-        return out
+    def separable_terms(self, xs, upper=False):
+        return np.ones(1), [
+            np.asarray(f.survival(x) if upper else f.cdf(x), dtype=float)[None]
+            for f, x in zip(self.factors, xs)
+        ]
 
     def marginal(self, indices):
         if len(indices) == 1:
@@ -795,6 +783,16 @@ class BlmJoint(JointDist):
 # -- gamma series families ----------------------------------------------------
 
 
+def _gamma_table(shapes, rate, x, upper=False):
+    """Regularized incomplete Gamma P(a, rate*x) (Q when `upper`) for each
+    shape a; shape (len(shapes),) + x.shape.  Each distinct shape is
+    evaluated once."""
+    fn = gammaincc if upper else gammainc
+    uniq, inv = np.unique(shapes, return_inverse=True)
+    x = np.asarray(x, dtype=float)
+    return fn(uniq.reshape((-1,) + (1,) * x.ndim), rate * x)[inv]
+
+
 class GammaSeries2D(JointDist):
     """Bivariate law of the form sum_t c_t Gamma(shape_xt) x Gamma(shape_yt),
     all coefficients nonnegative and summing to 1.  Covers Moran-Downton,
@@ -813,36 +811,11 @@ class GammaSeries2D(JointDist):
         self.kind = kind
         self.params = params
 
-    def _shape_cdfs(self, shapes, rate, x, upper=False):
-        fn = gammaincc if upper else gammainc
-        uniq, inv = np.unique(shapes, return_inverse=True)
-        x = np.asarray(x, dtype=float)
-        table = np.stack([fn(a, rate * x) for a in uniq])
-        return table[inv]
-
-    def _combine(self, x, y, upper):
-        px = self._shape_cdfs(self.shapes_x, self.rate_x, x, upper)
-        py = self._shape_cdfs(self.shapes_y, self.rate_y, y, upper)
-        out = np.einsum("t,t...,t...->...", self.coeffs, px, py)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return self._combine(x, y, upper=False)
-
-    def survival(self, x, y):
-        x, y = np.broadcast_arrays(np.asarray(x, float), np.asarray(y, float))
-        return self._combine(x, y, upper=True)
-
-    def cdf_tensor(self, nodes):
-        px = self._shape_cdfs(self.shapes_x, self.rate_x, nodes[0])  # (t, nx)
-        py = self._shape_cdfs(self.shapes_y, self.rate_y, nodes[1])  # (t, ny)
-        return (self.coeffs[:, None] * px).T @ py
-
-    def survival_tensor(self, nodes):
-        px = self._shape_cdfs(self.shapes_x, self.rate_x, nodes[0], upper=True)
-        py = self._shape_cdfs(self.shapes_y, self.rate_y, nodes[1], upper=True)
-        return (self.coeffs[:, None] * px).T @ py
+    def separable_terms(self, xs, upper=False):
+        return self.coeffs, [
+            _gamma_table(self.shapes_x, self.rate_x, xs[0], upper),
+            _gamma_table(self.shapes_y, self.rate_y, xs[1], upper),
+        ]
 
     def _axis_marginal(self, shapes, rate):
         agg: dict[float, float] = {}
@@ -995,53 +968,18 @@ class TriGammaJoint(JointDist):
                 f"truncation order {n_max}; a^2+b^2 = {u + v:.4g} is too large"
             )
         self.rows = rows           # rows[n][ell] = coefficient c_{n, ell}
+        # the same terms flattened: c_{n, ell} with shapes alpha + (ell, n, n - ell)
+        self.coeffs = np.concatenate(rows)
+        n_idx = np.concatenate([np.full(k + 1, k) for k in range(len(rows))])
+        ell_idx = np.concatenate([np.arange(k + 1) for k in range(len(rows))])
+        self.shapes = self.alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx])
         self.series_tail = tail
         self.params = {"alpha": self.alpha, "a": self.a, "b": self.b}
 
-    def _tables(self, x, upper=False):
-        fn = gammaincc if upper else gammainc
-        n_rows = len(self.rows)
-        x = np.asarray(x, dtype=float)
-        return np.stack([fn(self.alpha + k, x) for k in range(n_rows)])
-
-    def _combine(self, x, y, z, upper):
-        x, y, z = np.broadcast_arrays(
-            np.asarray(x, float), np.asarray(y, float), np.asarray(z, float)
-        )
-        px = self._tables(x, upper)
-        py = self._tables(y, upper)
-        pz = self._tables(z, upper)
-        out = np.zeros(x.shape)
-        for n, row in enumerate(self.rows):
-            inner = np.zeros(x.shape)
-            for ell, cnl in enumerate(row):
-                inner += cnl * px[ell] * pz[n - ell]
-            out += inner * py[n]
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x, y, z):
-        return self._combine(x, y, z, upper=False)
-
-    def survival(self, x, y, z):
-        return self._combine(x, y, z, upper=True)
-
-    def _tensor(self, nodes, upper):
-        px = self._tables(nodes[0], upper)  # (K, nx)
-        py = self._tables(nodes[1], upper)
-        pz = self._tables(nodes[2], upper)
-        nx, ny, nz = px.shape[1], py.shape[1], pz.shape[1]
-        out = np.zeros((nx, ny, nz))
-        for n, row in enumerate(self.rows):
-            w = row[:, None] * px[: n + 1]          # (n+1, nx)
-            inner = w.T @ pz[n::-1]                 # (nx, nz); pz rows n-ell
-            out += inner[:, None, :] * py[n][None, :, None]
-        return out
-
-    def cdf_tensor(self, nodes):
-        return self._tensor(nodes, upper=False)
-
-    def survival_tensor(self, nodes):
-        return self._tensor(nodes, upper=True)
+    def separable_terms(self, xs, upper=False):
+        return self.coeffs, [
+            _gamma_table(a, 1.0, x, upper) for a, x in zip(self.shapes, xs)
+        ]
 
     def marginal(self, indices):
         K = len(self.rows)
@@ -1063,27 +1001,11 @@ class TriGammaJoint(JointDist):
                 if wi > 0
             ]
             return mixture(comps)
-        if len(indices) == 2:
-            coeffs, sx, sy = [], [], []
-            for n, row in enumerate(self.rows):
-                for ell, cnl in enumerate(row):
-                    coeffs.append(cnl)
-                    if indices == (0, 1):
-                        sx.append(self.alpha + ell)
-                        sy.append(self.alpha + n)
-                    elif indices == (0, 2):
-                        sx.append(self.alpha + ell)
-                        sy.append(self.alpha + n - ell)
-                    elif indices == (1, 2):
-                        sx.append(self.alpha + n)
-                        sy.append(self.alpha + n - ell)
-                    else:
-                        raise MissingMarginal(
-                            f"trivariate-gamma: no marginal {indices}"
-                        )
+        if indices in ((0, 1), (0, 2), (1, 2)):
+            i, j = indices
             return GammaSeries2D(
-                coeffs, sx, sy, 1.0, 1.0, self.series_tail,
-                f"trivariate-gamma-marginal-{indices}", None,
+                self.coeffs, self.shapes[i], self.shapes[j], 1.0, 1.0,
+                self.series_tail, f"trivariate-gamma-marginal-{indices}", None,
             )
         raise MissingMarginal(f"trivariate-gamma: no marginal {indices}")
 
@@ -1170,12 +1092,13 @@ _register("blm", ["theta", "f_lambda", "g_lambda"],
 
 
 def _product_exponential(p: dict):
-    rates = [p[k] for k in sorted(p) if k.startswith("lambda")]
-    if not 2 <= len(rates) <= 4:
+    names = [f"lambda{i}" for i in range(1, len(p) + 1)]
+    if not 2 <= len(p) <= 4 or set(p) != set(names):
         raise ParameterOutOfRange(
-            "product-exponential: needs lambda1..lambdaN with N in {2, 3, 4}"
+            "product-exponential: needs exactly lambda1..lambdaN with N in "
+            f"{{2, 3, 4}} (got {sorted(p)})"
         )
-    return ProductJoint([exponential(r) for r in rates])
+    return ProductJoint([exponential(p[k]) for k in names])
 
 
 _register("product-exponential", ["lambda1", "lambda2", "[lambda3]", "[lambda4]"],
@@ -1207,4 +1130,8 @@ def make_catalog(name: str, params: dict):
         extra = [p for p in params if p not in entry["params"]]
         if extra:
             raise ParameterOutOfRange(f"{key}: unknown parameter(s) {extra}")
-    return entry["builder"]({k: float(v) for k, v in params.items()})
+    clean = {k: float(v) for k, v in params.items()}
+    nonfinite = [k for k, v in clean.items() if not math.isfinite(v)]
+    if nonfinite:
+        raise ParameterOutOfRange(f"{key}: parameter(s) {nonfinite} must be finite")
+    return entry["builder"](clean)

@@ -11,7 +11,6 @@ construction or separated by at least 0.01 in total variation.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -34,11 +33,9 @@ class Fingerprint:
     est_errors: np.ndarray
     route: str
     tol: float
-    created_at: float | None = None
 
     def to_dict(self) -> dict:
-        """Serialization with stable field order; row-major value array.
-        Excludes the timestamp so identical inputs give identical bytes."""
+        """Serialization with stable field order; row-major value array."""
         return {
             "dim": self.dim,
             "kinds": list(self.kinds),
@@ -119,7 +116,6 @@ def compute_fingerprint(
         est_errors=errors,
         route=route,
         tol=tol,
-        created_at=time.time(),
     )
 
 

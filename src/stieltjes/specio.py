@@ -10,6 +10,7 @@ Unknown fields are rejected (strict parsing); errors cite the JSON path.
 from __future__ import annotations
 
 import json
+import math
 import os
 
 from . import dist_model as dm
@@ -19,7 +20,13 @@ from .errors import SpecFormatError
 def _require_number(value, path):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SpecFormatError("expected a number", path)
-    return float(value)
+    try:
+        out = float(value)
+    except OverflowError:  # an integer literal beyond the double range
+        out = math.inf
+    if not math.isfinite(out):
+        raise SpecFormatError("expected a finite number", path)
+    return out
 
 
 def spec_from_dict(doc, path: str = "$"):

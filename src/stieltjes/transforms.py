@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._quadrature import AxisSpec, adaptive_quad, tensor_quad
-from .dist_model import Distribution1D, JointDist, ProductJoint
+from ._quadrature import AxisSpec, RankOneSum, adaptive_quad, tensor_quad
+from .dist_model import Distribution1D, JointDist
 from .errors import (
     DimensionTooLarge,
     NoClosedForm,
@@ -40,40 +40,6 @@ class TransformValue:
     evaluations: int
 
 
-@dataclass
-class TransformRequest:
-    """A transform evaluation request; `evaluate` dispatches it.
-
-    truncation, when set, overrides the automatic axis cutoff T(s, tol)
-    for the integration routes.
-    """
-
-    distribution: object
-    s: tuple
-    route: str = "auto"
-    tol: float = DEFAULT_TOL
-    truncation: float | None = None
-
-    def __post_init__(self):
-        self.s = _as_svec(self.s)
-        _check_s(self.s)
-        _check_tol(self.tol)
-        if self.route not in ROUTES and self.route != "closed":
-            raise ParameterOutOfRange(
-                f"unknown route {self.route!r}; choose from {ROUTES}"
-            )
-        if self.truncation is not None and not self.truncation > 0:
-            raise ParameterOutOfRange("truncation override must be positive")
-
-
-def evaluate(request: TransformRequest) -> TransformValue:
-    """Evaluate a TransformRequest through the route dispatcher."""
-    return transform_value(
-        request.distribution, request.s, route=request.route,
-        tol=request.tol, truncation=request.truncation,
-    )
-
-
 def _check_tol(tol: float):
     if not 0 < tol <= 1e-2:
         raise ParameterOutOfRange("tol must lie in (0, 1e-2]")
@@ -81,8 +47,8 @@ def _check_tol(tol: float):
 
 def _check_s(svec):
     for s in svec:
-        if not s > 0:
-            raise ParameterOutOfRange("s must be positive")
+        if not (math.isfinite(s) and s > 0):
+            raise ParameterOutOfRange("s must be positive and finite")
 
 
 def _as_svec(s) -> tuple[float, ...]:
@@ -165,23 +131,26 @@ def _ls_survival_1d(dist: Distribution1D, s: float, tol: float,
 
 
 def _weighted_cdf_eval(dist, svec, use_survival):
+    """Integrand H(x) * exp(-s . x) on a tensor grid: a RankOneSum for laws
+    with separable terms (the weights folded into the factors), else the
+    dense grid of pointwise values."""
     dim = len(svec)
-    tensor_fn = getattr(dist, "survival_tensor" if use_survival else "cdf_tensor", None)
     point_fn = dist.survival if use_survival else dist.cdf
 
     def evaluate(nodes):
+        weights = [np.exp(-si * x) for si, x in zip(svec, nodes)]
+        terms = dist.separable_terms(nodes, use_survival)
+        if terms is not None:
+            c, factors = terms
+            return RankOneSum(c, [f * w for f, w in zip(factors, weights)])
         shape = tuple(len(n) for n in nodes)
-        if tensor_fn is not None:
-            H = tensor_fn(nodes)
-        else:
-            coords = [
-                nodes[i].reshape([-1 if j == i else 1 for j in range(dim)])
-                for i in range(dim)
-            ]
-            H = np.broadcast_to(np.asarray(point_fn(*coords), dtype=float), shape)
+        coords = [
+            nodes[i].reshape([-1 if j == i else 1 for j in range(dim)])
+            for i in range(dim)
+        ]
+        H = np.broadcast_to(np.asarray(point_fn(*coords), dtype=float), shape)
         out = np.array(H, dtype=float, copy=True)
-        for i in range(dim):
-            w = np.exp(-svec[i] * nodes[i])
+        for i, w in enumerate(weights):
             out *= w.reshape([-1 if j == i else 1 for j in range(dim)])
         return out
 
@@ -234,28 +203,7 @@ def _carson_integral(dist: JointDist, svec, tol_integral, use_survival=False,
 
     Ts = [_truncation(si, tail_tol, dim, truncation) for si in svec]
     axes = [AxisSpec(length=Ti, rate=si) for Ti, si in zip(Ts, svec)]
-    if dim == 1:
-        fn = _weighted_cdf_eval(dist, svec, use_survival)
-        r = tensor_quad(fn, axes, tol_integral)
-    elif isinstance(dist, ProductJoint) and dim == 4:
-        # factorized product integral keeps 4-D runs tractable
-        vals, errs, evals = [], [], 0
-        for f, si, Ti in zip(dist.factors, svec, Ts):
-            fn = _weighted_cdf_eval(f, (si,), use_survival)
-            ri = tensor_quad(fn, [AxisSpec(length=Ti, rate=si)], tol_integral / 4)
-            vals.append(ri.value)
-            errs.append(ri.error)
-            evals += ri.evaluations
-        value = math.prod(vals)
-        err = sum(
-            e * math.prod(v for j, v in enumerate(vals) if j != i)
-            for i, e in enumerate(errs)
-        )
-        tail = sum(math.exp(-si * Ti) for si, Ti in zip(svec, Ts))
-        return value, err, evals, tail
-    else:
-        fn = _weighted_cdf_eval(dist, svec, use_survival)
-        r = tensor_quad(fn, axes, tol_integral)
+    r = tensor_quad(_weighted_cdf_eval(dist, svec, use_survival), axes, tol_integral)
     tail = sum(math.exp(-si * Ti) for si, Ti in zip(svec, Ts))
     return r.value, r.error, r.evaluations, tail
 

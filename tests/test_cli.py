@@ -65,6 +65,25 @@ def test_unknown_param_rejected(capsys):
     code, _, err = run(capsys, "transform", "--spec", bad, "--s", "1")
     assert code == 2
     assert "typo" in err
+    bad = '{"kind":"product-exponential","params":{"lambda1":1,"lambda3":2,"foo":3}}'
+    code, _, err = run(capsys, "transform", "--spec", bad, "--s", "1,1")
+    assert code == 2
+    assert "foo" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["transform", "--spec", '{"kind":"exponential","params":{"lambda":NaN}}', "--s", "1"],
+    ["transform", "--spec", '{"kind":"exponential","params":{"lambda":1e400}}', "--s", "1"],
+    ["transform", "--spec", '{"kind":"exponential","params":{"lambda":1%s}}' % ("0" * 400),
+     "--s", "1"],
+    ["transform", "--spec", EXP_SPEC, "--s", "inf"],
+    ["muntz", "--len", "6", "--q", "nan"],
+    ["invert", "--spec", EXP_SPEC, "--x", "nan", "--n", "4"],
+], ids=["nan-param", "overflow-param", "overflow-int-param", "inf-s", "nan-q", "nan-x"])
+def test_non_finite_input_rejected(capsys, argv):
+    code, out, _ = run(capsys, *argv)
+    assert code == 2
+    assert "NaN" not in out and "Infinity" not in out
 
 
 def test_mixture_spec_parses(capsys):

@@ -81,12 +81,27 @@ def test_tensor_chunked_path(monkeypatch):
             * np.exp(-z)[None, None, :]
         )
 
+    grids = []
+
+    def f_terms(nodes):
+        grids.append(math.prod(len(n) for n in nodes))
+        return q.RankOneSum(np.ones(1), [np.exp(-x)[None] for x in nodes])
+
     axes = [AxisSpec(length=30.0, rate=1.0)] * 3
     full = tensor_quad(f, axes, 1e-9)
+    full_terms = tensor_quad(f_terms, axes, 1e-9)
     monkeypatch.setattr(q, "_CHUNK_LIMIT", 1000)  # force axis-0 chunking
     res = q.tensor_quad(f, axes, 1e-9)
     assert math.isclose(res.value, full.value, rel_tol=0, abs_tol=1e-12)
     assert math.isclose(res.value, 1.0, abs_tol=1e-9)
+
+    # a separable integrand is contracted whole: after the one-point probe,
+    # every call covers a grid beyond the chunk limit
+    grids.clear()
+    res_terms = q.tensor_quad(f_terms, axes, 1e-9)
+    assert grids[0] == 1 and all(n > 1000 for n in grids[1:])
+    assert res_terms.value == full_terms.value
+    assert math.isclose(res_terms.value, full.value, rel_tol=0, abs_tol=1e-12)
 
 
 def test_tensor_uniform_axis():

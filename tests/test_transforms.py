@@ -139,6 +139,68 @@ def test_product_dim4_factorized():
     assert abs(tv.value - expect) <= 1e-7
 
 
+class _PointwiseOnly(dm.JointDist):
+    """A separable law seen only through pointwise cdf/survival, so the
+    Carson integral takes the dense-grid path.  It accepts the
+    one-axis-per-coordinate grids that path passes and sums the law's terms
+    by matrix products, one leading node at a time."""
+
+    def __init__(self, law):
+        self.law, self.dim, self.kind = law, law.dim, law.kind
+
+    def cdf(self, *xs):
+        return self._grid(xs, upper=False)
+
+    def survival(self, *xs):
+        return self._grid(xs, upper=True)
+
+    def _grid(self, xs, upper):
+        c, factors = self.law.separable_terms(xs, upper)
+        out = _sum_outer(c, [f.reshape(len(c), -1) for f in factors])
+        return out.reshape(np.broadcast_shapes(*(np.shape(x) for x in xs)))
+
+
+def _sum_outer(c, factors):
+    """sum_t c[t] * outer(factors[0][t], factors[1][t], ...)."""
+    first, *rest = factors
+    if len(rest) == 1:
+        return (c[:, None] * first).T @ rest[0]
+    return np.stack([_sum_outer(c * first[:, i], rest) for i in range(first.shape[1])])
+
+
+def _separable_laws():
+    tg = dm.make_catalog("trivariate-gamma", {"alpha": 1.0, "a": 0.5, "b": 0.5})
+    return {
+        "product-2d": dm.ProductJoint([dm.exponential(1.0), dm.gamma_dist(2.0, 2.0)]),
+        "product-3d": dm.make_catalog(
+            "product-exponential", {"lambda1": 1, "lambda2": 2, "lambda3": 3}),
+        "moran-downton": dm.make_catalog("moran-downton", {"r": 0.5}),
+        "bivariate-gamma": dm.make_catalog("bivariate-gamma", {"r": 0.3, "q": 2.0}),
+        "trivariate-gamma": tg,
+        "trivariate-gamma-01": tg.marginal((0, 1)),
+        "trivariate-gamma-02": tg.marginal((0, 2)),
+        "trivariate-gamma-12": tg.marginal((1, 2)),
+    }
+
+
+@pytest.mark.parametrize("name", list(_separable_laws()))
+def test_rank_one_matches_dense_path(name):
+    law = _separable_laws()[name]
+    assert law.separable_terms([np.ones(1)] * law.dim) is not None
+    svec = (1.3, 2.1, 3.4)[: law.dim]
+    prod_s = math.prod(svec)
+    for use_survival in (False, True):
+        got = [
+            tr._carson_integral(d, svec, 1e-8 / prod_s, use_survival=use_survival)
+            for d in (law, _PointwiseOnly(law))
+        ]
+        (v1, e1), (v2, e2) = [(prod_s * v, prod_s * e + tail) for v, e, _, tail in got]
+        assert abs(v1 - v2) <= 1e-13
+        # |Kronrod - Gauss| differences of O(1) sums carry rounding of a few
+        # ulps, hence the absolute floor under the relative bound
+        assert abs(e1 - e2) <= 1e-12 * e2 + 1e-14
+
+
 # ---------------------------------------------------------------------------
 # invariants
 
