@@ -5,8 +5,11 @@ Gauss-Legendre, with the embedded Gauss value used for the per-panel error
 estimate.  1-D integrals are refined by worst-panel bisection; multivariate
 integrals use a tensor product of per-axis panel sets refined one axis at a
 time, and integrands that are sums of products of per-axis factors
-(RankOneSum) are contracted axis by axis without forming the grid.
-Integrands must accept numpy arrays.
+(RankOneSum) are contracted axis by axis without forming the grid.  A batch
+of integrands that differ only by per-axis weights (WeightedBatch) shares
+one grid, one evaluation of the common core per round, and one refinement
+that serves every member's own tolerance.  Integrands must accept numpy
+arrays.
 """
 
 from __future__ import annotations
@@ -62,8 +65,8 @@ _CHUNK_LIMIT = 8_000_000
 
 @dataclass(frozen=True)
 class QuadResult:
-    value: float
-    error: float
+    value: float | np.ndarray
+    error: float | np.ndarray
     evaluations: int
 
 
@@ -80,14 +83,79 @@ class RankOneSum:
         """Number of factor values held (the grid itself is never formed)."""
         return sum(f.size for f in self.factors)
 
-    def contract_except_each(self, weights: Sequence[np.ndarray]) -> list[np.ndarray]:
-        """For each axis j, the sum contracted with `weights` on every other
-        axis: u[j] = F_j^T (coeffs * prod_{i != j} F_i @ w_i)."""
-        g = [f @ w for f, w in zip(self.factors, weights)]
+    def contract_except_each(self, mats: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """For each axis j, the sum contracted with the rows of mats[i], shape
+        (m_i, n_i), on every axis i != j: shape (m_1, ..., 1 at j, ..., m_d, n_j)."""
+        dim = len(mats)
+        g = [m @ f.T for f, m in zip(self.factors, mats)]  # (m_i, terms)
+        g = [gi.reshape([-1 if a == i else 1 for a in range(dim)] + [gi.shape[1]])
+             for i, gi in enumerate(g)]
         return [
-            f.T @ (self.coeffs * math.prod(g[:j] + g[j + 1:]))
+            (self.coeffs * math.prod(g[:j] + g[j + 1:])) @ f
             for j, f in enumerate(self.factors)
         ]
+
+
+@dataclass(frozen=True)
+class WeightedBatch:
+    """A batch of integrands on one tensor grid: member (g, k_1, ..., k_d) is
+    core[g] * prod_i weights[i][k_i] along axis i.
+
+    `core` is dense with shape (groups, n_1, ..., n_d), or a RankOneSum (one
+    group); weights[i] has shape (m_i, n_i).  The batch shape is
+    (groups, m_1, ..., m_d).  A factor that depends on one axis only, such as
+    e^{-s x_i} for each s on that axis, costs one row per distinct value
+    instead of one grid per member.
+    """
+
+    core: np.ndarray | RankOneSum
+    weights: Sequence[np.ndarray]
+
+    @property
+    def groups(self) -> int:
+        return 1 if isinstance(self.core, RankOneSum) else self.core.shape[0]
+
+    @property
+    def shape(self) -> tuple:
+        return (self.groups, *(len(w) for w in self.weights))
+
+    @property
+    def size(self) -> int:
+        return self.core.size
+
+    def contract_except_each(self, wks: Sequence[np.ndarray]) -> list[np.ndarray]:
+        """For each axis j, u[j] of shape batch shape + (n_j,): every member
+        contracted with the Kronrod weights `wks` on every axis but j."""
+        mats = [w * wk for w, wk in zip(self.weights, wks)]
+        dim = len(mats)
+        if isinstance(self.core, RankOneSum):
+            parts = [p[None] for p in self.core.contract_except_each(mats)]
+        else:
+            parts = [_dense_except(self.core, mats, j) for j in range(dim)]
+        # each part has a unit axis for k_j, which the axis-j weights fill
+        return [
+            p * w.reshape([1] * (j + 1) + [len(w)] + [1] * (dim - j - 1) + [w.shape[1]])
+            for j, (p, w) in enumerate(zip(parts, self.weights))
+        ]
+
+
+def _dense_except(core: np.ndarray, mats: Sequence[np.ndarray], keep: int) -> np.ndarray:
+    """Dense core (groups, n_1, ..., n_d) contracted with mats[i] (m_i, n_i) on
+    every axis i != keep: shape (groups, m_1, ..., 1 at keep, ..., m_d, n_keep)."""
+    out = core
+    for i, m in enumerate(mats):
+        if i != keep:
+            out = np.moveaxis(np.tensordot(out, m, axes=(i + 1, 1)), -1, i + 1)
+    return np.expand_dims(np.moveaxis(out, keep + 1, -1), keep + 1)
+
+
+def _as_batch(vals, nodes) -> WeightedBatch:
+    """A plain integrand answer (dense grid or RankOneSum) as a batch of one."""
+    if isinstance(vals, WeightedBatch):
+        return vals
+    if not isinstance(vals, RankOneSum):
+        vals = np.asarray(vals, dtype=float).reshape((1, *(len(n) for n in nodes)))
+    return WeightedBatch(vals, [np.ones((1, len(n))) for n in nodes])
 
 
 def _panel_nodes(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -231,37 +299,37 @@ def _axis_arrays(breaks: list[float]):
     return nodes, wk, wg
 
 
-def _contract_except(values: np.ndarray, weights: Sequence[np.ndarray],
-                     keep: int) -> np.ndarray:
-    """Contract all axes but `keep` with the per-axis weight vectors."""
-    v = np.moveaxis(values, keep, 0)
-    rest = [w for i, w in enumerate(weights) if i != keep]
-    return v.reshape(v.shape[0], -1) @ _kron_rest(rest)
-
-
 def tensor_quad(
-    tensor_eval: Callable[[Sequence[np.ndarray]], np.ndarray | RankOneSum],
+    tensor_eval: Callable[[Sequence[np.ndarray]], np.ndarray | RankOneSum | WeightedBatch],
     axes: Sequence[AxisSpec],
-    tol: float,
+    tol,
     max_rounds: int = 10,
     max_points: float = 2.5e8,
 ) -> QuadResult:
-    """Tensor-product Kronrod quadrature with per-axis panel refinement.
+    """Tensor-product Kronrod quadrature with per-axis panel refinement, for
+    a batch of integrands that share one grid.
 
     `tensor_eval` receives one 1-D node array per axis and must return the
     integrand on the full tensor grid, shape (len(n_1), ..., len(n_d)), or
     the same integrand as a RankOneSum, which is contracted axis by axis
-    without forming the grid.  `evaluations` counts the grid values or
-    RankOneSum factor values computed; when the first grid is too large to
-    form whole, an uncounted one-point call first tells which form the
-    integrand takes.
-    The error estimate swaps the embedded Gauss weights onto one axis at a
-    time; the sum over axes is the reported error.  Refinement attributes
+    without forming the grid; either is a batch of one.  A WeightedBatch
+    answers for several integrands at once; `tol` then holds one tolerance
+    per member, in an array of the batch shape, and value and error come
+    back in the shape of `tol`.  `evaluations` counts the core values
+    computed (grid values or RankOneSum factor values); when the first grid
+    is too large to form whole, an uncounted one-point call first tells
+    which form the integrand takes.
+    Each member's error estimate swaps the embedded Gauss weights onto one
+    axis at a time; the sum over axes is its reported error, and rounds go
+    on until every member meets its own tolerance.  Refinement attributes
     each axis error to its panels and splits only the offending ones, so
-    corner singularities deepen locally instead of doubling whole axes.
+    corner singularities deepen locally instead of doubling whole axes: on
+    each axis, the panels that carry at least 1/4 of the worst
+    tolerance-normalised panel error among the members not yet converged
+    whose error on that axis exceeds tol/(2 dim).
     """
     breaks = [_axis_breaks(ax) for ax in axes]
-    terms = None  # set once the integrand has answered with a RankOneSum
+    form = None  # the integrand's last answer: its form and group count
     n_evals = 0
     dim = len(axes)
 
@@ -269,64 +337,62 @@ def tensor_quad(
         per_axis = [_axis_arrays(b) for b in breaks]
         nodes = [p[0] for p in per_axis]
         wks = [p[1] for p in per_axis]
-        wgs = [p[2] for p in per_axis]
+        dws = [p[1] - p[2] for p in per_axis]
         lens = [len(n) for n in nodes]
-        if round_no == 0 and math.prod(lens) > _CHUNK_LIMIT:
+        if round_no == 0 and math.prod(lens) * np.size(tol) > _CHUNK_LIMIT:
             # a dense grid this large is sliced, a RankOneSum is not: a
             # one-point call tells which this integrand is
-            probe = tensor_eval([n[:1] for n in nodes])
-            if isinstance(probe, RankOneSum):
-                terms = len(probe.coeffs)
-        npts = math.prod(lens) if terms is None else terms * sum(lens)
+            one = [n[:1] for n in nodes]
+            form = _as_batch(tensor_eval(one), one)
+        rank_one = form is not None and isinstance(form.core, RankOneSum)
+        if rank_one:
+            npts = len(form.core.coeffs) * sum(lens)
+        else:
+            npts = (1 if form is None else form.groups) * math.prod(lens)
         if n_evals + npts > max_points:
             raise QuadratureNonConvergence(
                 f"tensor quadrature budget exceeded ({n_evals + npts:.2e} points)"
             )
 
-        # u[j][i] = integrand contracted with Kronrod weights on every axis
-        # except j, leaving a vector over axis-j nodes
-        if terms is not None or npts <= _CHUNK_LIMIT:
-            vals = tensor_eval(nodes)
-            if isinstance(vals, RankOneSum):
-                terms = len(vals.coeffs)
-                u = vals.contract_except_each(wks)
-            else:
-                vals = np.asarray(vals, dtype=float)
-                u = [_contract_except(vals, wks, j) for j in range(dim)]
-            n_evals += vals.size
-        else:
+        # u[j][b] = member b contracted with Kronrod weights on every axis
+        # except j, leaving a vector over axis-j nodes; a dense core too
+        # large to hold is evaluated in axis-0 slices
+        rows = lens[0]
+        if not rank_one and npts > _CHUNK_LIMIT:
             rows = max(1, int(_CHUNK_LIMIT // max(1, npts // lens[0])))
-            u = [np.zeros(lens[j]) for j in range(dim)]
-            for start in range(0, lens[0], rows):
-                sl = slice(start, min(start + rows, lens[0]))
-                sub = np.asarray(tensor_eval([nodes[0][sl]] + nodes[1:]), dtype=float)
-                n_evals += sub.size
-                u[0][sl] = sub.reshape(sub.shape[0], -1) @ _kron_rest(wks[1:])
-                for j in range(1, dim):
-                    u[j] += _contract_except(sub, [wks[0][sl]] + wks[1:], j)
+        u = None
+        for start in range(0, lens[0], rows):
+            sl = slice(start, start + rows)
+            part = [nodes[0][sl]] + nodes[1:]
+            form = _as_batch(tensor_eval(part), part)
+            n_evals += form.size
+            pu = form.contract_except_each([wks[0][sl]] + wks[1:])
+            if u is None:
+                u = [np.zeros((math.prod(form.shape), n)) for n in lens]
+            u[0][:, sl] = pu[0].reshape(-1, pu[0].shape[-1])
+            for j in range(1, dim):
+                u[j] += pu[j].reshape(u[j].shape)
 
-        ik = float(wks[0] @ u[0])
-        errs = [abs(float((wks[j] - wgs[j]) @ u[j])) for j in range(dim)]
+        tols = np.reshape(tol, len(u[0]))
+        ik = u[0] @ wks[0]
+        errs = [np.abs(u[j] @ dws[j]) for j in range(dim)]
         err = sum(errs)
-        if err <= tol:
-            return QuadResult(ik, err, n_evals)
+        if np.all(err <= tols):
+            return QuadResult(ik.reshape(np.shape(tol))[()],
+                              err.reshape(np.shape(tol))[()], n_evals)
 
         # err > tol puts some errs[j] above tol/dim, so at least one axis splits
+        active = err > tols
         for j in range(dim):
-            if errs[j] <= tol / (2 * dim):
+            members = active & (errs[j] > tols / (2 * dim))
+            if not members.any():
                 continue
-            detail = (wks[j] - wgs[j]) * u[j]
-            panel_errs = np.abs(detail.reshape(-1, PANEL_SIZE).sum(axis=1))
-            breaks[j] = _split_panels(breaks[j], panel_errs)
+            detail = (u[j][members] * dws[j]).reshape(int(members.sum()), -1, PANEL_SIZE)
+            # scaled to the tightest tolerance, so one member keeps its raw errors
+            panel_errs = np.abs(detail.sum(axis=2)) * (tols.min() / tols[members])[:, None]
+            breaks[j] = _split_panels(breaks[j], panel_errs.max(axis=0))
 
+    worst = int(np.argmax(err / tols))
     raise QuadratureNonConvergence(
-        f"tensor quadrature stalled at error {err:.3e} > tol {tol:.3e}"
+        f"tensor quadrature stalled at error {err[worst]:.3e} > tol {tols[worst]:.3e}"
     )
-
-
-def _kron_rest(weights: Sequence[np.ndarray]) -> np.ndarray:
-    """Kronecker product of per-axis weight vectors, for flattened trailing axes."""
-    out = np.array([1.0])
-    for w in weights:
-        out = np.kron(out, w)
-    return out

@@ -40,6 +40,9 @@ _NUMERICAL_FAILURES = (
 
 ENV_PRECISION = "STIELTJES_PRECISION_BITS"
 
+# 'closed' names the closed-form route; transforms.canonical_route maps it
+_ROUTE_CHOICES = ("auto", "direct", "carson", "survival", "closed")
+
 
 class UsageError(Exception):
     pass
@@ -109,19 +112,18 @@ def build_parser() -> argparse.ArgumentParser:
                            help="distribution spec: inline JSON or a file path")
         p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--precision-bits", type=int,
-                       default=int(os.environ.get(ENV_PRECISION, "128")))
 
     p = sub.add_parser("transform", help="evaluate the transform at an s-vector")
     common(p)
     p.add_argument("--s", required=True, help="comma-separated positive reals")
-    p.add_argument("--route", default="auto",
-                   choices=("auto", "direct", "carson", "survival", "closed"))
+    p.add_argument("--route", default="auto", choices=_ROUTE_CHOICES)
 
     p = sub.add_parser("invert", help="Post-Widder density and CDF series at x")
     common(p)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="inversion order")
+    p.add_argument("--precision-bits", type=int,
+                   default=int(os.environ.get(ENV_PRECISION, "128")))
 
     p = sub.add_parser("muntz", help="emit (n, bound, sampled_sup) rows")
     common(p, spec=False)
@@ -134,15 +136,13 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--grid", default="primes")
     p.add_argument("--len", type=int, required=True, dest="length")
-    p.add_argument("--route", default="auto",
-                   choices=("auto", "direct", "carson", "survival", "closed"))
+    p.add_argument("--route", default="auto", choices=_ROUTE_CHOICES)
 
     p = sub.add_parser("compare", help="fingerprint two specs and compare")
     common(p)
     p.add_argument("--grid", default="primes")
     p.add_argument("--len", type=int, required=True, dest="length")
-    p.add_argument("--route", default="auto",
-                   choices=("auto", "direct", "carson", "survival", "closed"))
+    p.add_argument("--route", default="auto", choices=_ROUTE_CHOICES)
 
     p = sub.add_parser("verify-identity", help="cross-route identity report")
     common(p)
@@ -163,8 +163,7 @@ def _single_spec(args):
 def _cmd_transform(args) -> None:
     dist = _single_spec(args)
     svec = _parse_s(args.s)
-    route = "closed_form" if args.route == "closed" else args.route
-    tv = transform_value(dist, svec, route=route, tol=_tol(args))
+    tv = transform_value(dist, svec, route=args.route, tol=_tol(args))
     doc = {
         "value": tv.value,
         "est_error": tv.est_error,
@@ -228,9 +227,8 @@ def _cmd_muntz(args) -> None:
 def _cmd_fingerprint(args) -> None:
     dist = _single_spec(args)
     seq = _grid_from_flag(args.grid)
-    route = "closed_form" if args.route == "closed" else args.route
     fp = compute_fingerprint(
-        dist, [seq] * dist.dim, args.length, route=route, tol=_tol(args)
+        dist, [seq] * dist.dim, args.length, route=args.route, tol=_tol(args)
     )
     doc = fp.to_dict()
     idx_cols = [f"i{k}" for k in range(fp.dim)]
@@ -252,9 +250,8 @@ def _cmd_compare(args) -> None:
     if d1.dim != d2.dim:
         raise UsageError("compared distributions must share a dimension")
     seq = _grid_from_flag(args.grid)
-    route = "closed_form" if args.route == "closed" else args.route
-    f1 = compute_fingerprint(d1, [seq] * d1.dim, args.length, route=route, tol=_tol(args))
-    f2 = compute_fingerprint(d2, [seq] * d2.dim, args.length, route=route, tol=_tol(args))
+    f1 = compute_fingerprint(d1, [seq] * d1.dim, args.length, route=args.route, tol=_tol(args))
+    f2 = compute_fingerprint(d2, [seq] * d2.dim, args.length, route=args.route, tol=_tol(args))
     rep = fp_compare(f1, f2, tol=max(_tol(args), 1e-12))
     doc = rep.as_dict()
     _emit(doc, args.format, csv_rows=[

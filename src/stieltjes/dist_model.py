@@ -1116,6 +1116,14 @@ def catalog_info(name: str) -> dict:
     return {"params": list(entry["params"]), "constraints": entry["constraints"]}
 
 
+def _finite_or_inf(v) -> float:
+    """float(v), with integers beyond the double range as inf."""
+    try:
+        return float(v)
+    except OverflowError:
+        return math.inf
+
+
 def make_catalog(name: str, params: dict):
     """Build a catalog distribution by name; raises UnknownCatalogName /
     ParameterOutOfRange with the violated constraint in the message."""
@@ -1130,7 +1138,7 @@ def make_catalog(name: str, params: dict):
         extra = [p for p in params if p not in entry["params"]]
         if extra:
             raise ParameterOutOfRange(f"{key}: unknown parameter(s) {extra}")
-    clean = {k: float(v) for k, v in params.items()}
+    clean = {k: _finite_or_inf(v) for k, v in params.items()}
     nonfinite = [k for k, v in clean.items() if not math.isfinite(v)]
     if nonfinite:
         raise ParameterOutOfRange(f"{key}: parameter(s) {nonfinite} must be finite")

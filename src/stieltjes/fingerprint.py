@@ -19,7 +19,7 @@ import numpy as np
 from . import dist_model as dm
 from .errors import GridDimensionMismatch, GridMismatch, ParameterOutOfRange
 from .muntz import MuntzSequence
-from .transforms import transform_value
+from .transforms import canonical_route, ls_carson_grid, resolve_route, transform_value
 
 
 @dataclass
@@ -96,18 +96,24 @@ def compute_fingerprint(
 
     `grids` is one MuntzSequence or explicit value sequence per axis;
     `prefix_lens` the per-axis truncation (scalar broadcasts).  Deterministic
-    given route and tolerances.
+    given route and tolerances.  When every cell of a joint law takes the
+    Carson route, all cells are integrated on one shared grid; each keeps
+    its own error bound.
     """
     dim = dist.dim
+    route = canonical_route(route)
     grid_vals, kinds = _normalize_grids(grids, prefix_lens, dim)
     shape = tuple(len(g) for g in grid_vals)
-    values = np.empty(shape)
-    errors = np.empty(shape)
-    for idx in np.ndindex(shape):
-        svec = [grid_vals[ax][i] for ax, i in enumerate(idx)]
-        tv = transform_value(dist, svec, route=route, tol=tol)
-        values[idx] = tv.value
-        errors[idx] = tv.est_error
+    cells = [[grid_vals[ax][i] for ax, i in enumerate(idx)] for idx in np.ndindex(shape)]
+    if isinstance(dist, dm.JointDist) and all(
+        resolve_route(dist, svec, route) == "carson" for svec in cells
+    ):
+        # one shared grid and one CDF pass for every cell
+        values, errors, _ = ls_carson_grid(dist, grid_vals, tol)
+    else:
+        found = [transform_value(dist, svec, route=route, tol=tol) for svec in cells]
+        values = np.reshape([tv.value for tv in found], shape)
+        errors = np.reshape([tv.est_error for tv in found], shape)
     return Fingerprint(
         dim=dim,
         grids=grid_vals,

@@ -203,6 +203,38 @@ def test_verify_identity_cli(capsys):
     assert doc["max_route_gap"] <= 1e-6
 
 
+def _strict_json(text):
+    def reject(name):
+        raise ValueError(f"non-strict JSON constant {name}")
+
+    return json.loads(text, parse_constant=reject)
+
+
+def test_verify_identity_trivariate_cli(capsys):
+    tg = '{"kind":"trivariate-gamma","params":{"alpha":1.0,"a":0.5,"b":0.5}}'
+    code, out, err = run(capsys, "verify-identity", "--spec", tg, "--s", "1,2,3",
+                         "--tol", "1e-5")
+    assert code == 0, err
+    doc = _strict_json(out)
+    assert doc["passed"] is True
+    assert doc["expanded_gap"] <= 1e-5
+
+
+@pytest.mark.parametrize("command", [
+    ["transform", "--spec", EXP_SPEC, "--s", "2"],
+    ["fingerprint", "--spec", EXP_SPEC, "--len", "2"],
+    ["verify-identity", "--spec", EXP_SPEC, "--s", "2"],
+    ["muntz", "--len", "3"],
+])
+def test_precision_bits_only_on_invert(capsys, command):
+    code, _, err = run(capsys, *command, "--precision-bits", "256")
+    assert code == 2 and "--precision-bits" in err
+    code, out, _ = run(capsys, "invert", "--spec", EXP_SPEC, "--x", "1", "--n", "4",
+                       "--precision-bits", "256")
+    assert code == 0
+    assert _strict_json(out)["precision_bits"] >= 256
+
+
 def test_catalog_lists_all(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

@@ -64,6 +64,13 @@ def test_make_catalog_rejects_bad_r():
         dm.make_catalog("moran-downton", {"r": 1.2})
 
 
+def test_make_catalog_rejects_integers_beyond_double_range():
+    with pytest.raises(ParameterOutOfRange, match="finite"):
+        dm.make_catalog("exponential", {"lambda": 10**400})
+    with pytest.raises(ParameterOutOfRange, match="finite"):
+        dm.make_catalog("product-exponential", {"lambda1": 1, "lambda2": -(10**400)})
+
+
 def test_make_catalog_unknown_name():
     with pytest.raises(UnknownCatalogName):
         dm.make_catalog("noshuchdist", {})

@@ -113,3 +113,54 @@ def test_tensor_uniform_axis():
 
     res = tensor_quad(f, axes, 1e-12)
     assert math.isclose(res.value, 1.0 / 12.0, abs_tol=1e-13)
+
+
+def _exp_batch(nodes, groups=(1.0,), s=(1.0, 2.0, 3.0), t=(0.5, 4.0)):
+    """Members (g, k, l): e^{-g (x + y)} e^{-s_k x} e^{-t_l y}."""
+    from stieltjes._quadrature import WeightedBatch
+
+    x, y = nodes
+    core = np.exp(-np.multiply.outer(groups, np.add.outer(x, y)))
+    return WeightedBatch(core, [np.exp(-np.multiply.outer(s, x)),
+                                np.exp(-np.multiply.outer(t, y))])
+
+
+def test_batch_members_meet_their_own_tolerances():
+    groups, s, t = (0.0, 1.5), (1.0, 2.0, 3.0), (0.5, 4.0)
+    L = 30.0
+    axes = [AxisSpec(length=L, rate=max(s)), AxisSpec(length=L, rate=max(t))]
+    tols = np.array([1e-8, 1e-11]).reshape(2, 1, 1) * np.ones((2, 3, 2))
+    res = tensor_quad(lambda n: _exp_batch(n, groups, s, t), axes, tols)
+    assert res.value.shape == res.error.shape == (2, 3, 2)
+    for (g, k, l), v in np.ndenumerate(res.value):
+        a, b = groups[g] + s[k], groups[g] + t[l]
+        exact = (1 - math.exp(-a * L)) / a * (1 - math.exp(-b * L)) / b
+        # 1e-14: rounding of the O(1) sums, below which |K - G| says nothing
+        assert abs(v - exact) <= res.error[g, k, l] + 1e-14
+        assert res.error[g, k, l] <= tols[g, k, l]
+        # the same member alone, on its own grid
+        alone = tensor_quad(
+            lambda n: _exp_batch(n, (groups[g],), (s[k],), (t[l],)), axes,
+            tols[g, k, l])
+        assert abs(alone.value - v) <= alone.error + res.error[g, k, l] + 1e-14
+
+
+def test_dense_batch_respects_chunk_limit(monkeypatch):
+    import stieltjes._quadrature as q
+
+    axes = [AxisSpec(length=40.0, rate=3.0), AxisSpec(length=40.0, rate=4.0)]
+    tols = np.full((3, 3, 2), 1e-10)
+    groups = (0.0, 0.5, 1.0)
+    whole = q.tensor_quad(lambda n: _exp_batch(n, groups), axes, tols)
+    sizes = []
+
+    def f(nodes):
+        out = _exp_batch(nodes, groups)
+        sizes.append(out.size)
+        return out
+
+    monkeypatch.setattr(q, "_CHUNK_LIMIT", 3000)
+    res = q.tensor_quad(f, axes, tols)
+    assert len(sizes) > 2 and max(sizes) <= 3000
+    assert np.allclose(res.value, whole.value, rtol=0, atol=1e-14)
+    assert res.evaluations == whole.evaluations

@@ -187,14 +187,13 @@ def _separable_laws():
 def test_rank_one_matches_dense_path(name):
     law = _separable_laws()[name]
     assert law.separable_terms([np.ones(1)] * law.dim) is not None
-    svec = (1.3, 2.1, 3.4)[: law.dim]
-    prod_s = math.prod(svec)
+    s_axes = [(s,) for s in (1.3, 2.1, 3.4)[: law.dim]]
     for use_survival in (False, True):
         got = [
-            tr._carson_integral(d, svec, 1e-8 / prod_s, use_survival=use_survival)
+            tr._carson_integral(d, s_axes, 1e-8, use_survival=use_survival)
             for d in (law, _PointwiseOnly(law))
         ]
-        (v1, e1), (v2, e2) = [(prod_s * v, prod_s * e + tail) for v, e, _, tail in got]
+        (v1, e1), (v2, e2) = [(v.item(), (e + tail).item()) for v, e, _, tail in got]
         assert abs(v1 - v2) <= 1e-13
         # |Kronrod - Gauss| differences of O(1) sums carry rounding of a few
         # ulps, hence the absolute floor under the relative bound
