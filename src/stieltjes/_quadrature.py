@@ -61,6 +61,11 @@ PANEL_SIZE = 15
 
 # tensor grids beyond this many points are evaluated in axis-0 chunks
 _CHUNK_LIMIT = 8_000_000
+# tensor_quad gives up after this many refinement rounds or core values
+_MAX_ROUNDS = 10
+_MAX_POINTS = 2.5e8
+# initial panels on an axis without exponential decay
+_UNIFORM_PANELS = 8
 
 
 @dataclass(frozen=True)
@@ -245,14 +250,12 @@ class AxisSpec:
 
     length: float
     rate: float | None = None
-    breakpoints: tuple = ()
-    uniform_panels: int = 8
 
 
 def _axis_breaks(spec: AxisSpec) -> list[float]:
     T = spec.length
     if spec.rate is None or spec.rate <= 0:
-        pts = list(np.linspace(0.0, T, spec.uniform_panels + 1))
+        pts = list(np.linspace(0.0, T, _UNIFORM_PANELS + 1))
     else:
         unit = 1.0 / spec.rate
         pts = [0.0]
@@ -266,8 +269,7 @@ def _axis_breaks(spec: AxisSpec) -> list[float]:
             x += step
             pts.append(x)
         pts.append(T)
-    extra = [float(p) for p in spec.breakpoints if 0.0 < p < T]
-    return sorted(set(pts) | set(extra))
+    return sorted(set(pts))
 
 
 def _split_panels(breaks: list[float], panel_errs: np.ndarray) -> list[float]:
@@ -303,8 +305,6 @@ def tensor_quad(
     tensor_eval: Callable[[Sequence[np.ndarray]], np.ndarray | RankOneSum | WeightedBatch],
     axes: Sequence[AxisSpec],
     tol,
-    max_rounds: int = 10,
-    max_points: float = 2.5e8,
 ) -> QuadResult:
     """Tensor-product Kronrod quadrature with per-axis panel refinement, for
     a batch of integrands that share one grid.
@@ -333,7 +333,7 @@ def tensor_quad(
     n_evals = 0
     dim = len(axes)
 
-    for round_no in range(max_rounds):
+    for round_no in range(_MAX_ROUNDS):
         per_axis = [_axis_arrays(b) for b in breaks]
         nodes = [p[0] for p in per_axis]
         wks = [p[1] for p in per_axis]
@@ -349,7 +349,7 @@ def tensor_quad(
             npts = len(form.core.coeffs) * sum(lens)
         else:
             npts = (1 if form is None else form.groups) * math.prod(lens)
-        if n_evals + npts > max_points:
+        if n_evals + npts > _MAX_POINTS:
             raise QuadratureNonConvergence(
                 f"tensor quadrature budget exceeded ({n_evals + npts:.2e} points)"
             )

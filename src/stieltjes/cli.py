@@ -80,14 +80,10 @@ def _grid_from_flag(name: str) -> MuntzSequence:
     raise UsageError(f"unknown grid {name!r}; use primes, integers, or file:PATH")
 
 
-def _emit(doc: dict, fmt: str, csv_rows=None) -> None:
+def _emit(doc: dict, fmt: str, csv_rows) -> None:
     if fmt == "json":
         sys.stdout.write(json.dumps(doc, indent=2, allow_nan=False) + "\n")
     else:
-        if csv_rows is None:
-            csv_rows = [list(doc.keys()), [
-                _fmt(v) if isinstance(v, float) else str(v) for v in doc.values()
-            ]]
         for row in csv_rows:
             sys.stdout.write(",".join(str(c) for c in row) + "\n")
 
@@ -106,11 +102,13 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, spec=True):
+    # --tol only on the subcommands that read it
+    def common(p, spec=True, tol=True):
         if spec:
             p.add_argument("--spec", action="append", required=True,
                            help="distribution spec: inline JSON or a file path")
-        p.add_argument("--tol", type=float, default=1e-10)
+        if tol:
+            p.add_argument("--tol", type=float, default=1e-10)
         p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("transform", help="evaluate the transform at an s-vector")
@@ -119,14 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--route", default="auto", choices=_ROUTE_CHOICES)
 
     p = sub.add_parser("invert", help="Post-Widder density and CDF series at x")
-    common(p)
+    common(p, tol=False)
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="inversion order")
     p.add_argument("--precision-bits", type=int,
                    default=int(os.environ.get(ENV_PRECISION, "128")))
 
     p = sub.add_parser("muntz", help="emit (n, bound, sampled_sup) rows")
-    common(p, spec=False)
+    common(p, spec=False, tol=False)
     p.add_argument("--grid", default="integers")
     p.add_argument("--len", type=int, required=True, dest="length")
     p.add_argument("--q", type=float, default=0.5,
@@ -149,7 +147,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s", required=True)
 
     p = sub.add_parser("catalog", help="list catalog kinds and constraints")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    common(p, spec=False, tol=False)
 
     return parser
 

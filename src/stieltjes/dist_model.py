@@ -86,7 +86,6 @@ class Distribution1D:
         catalog_id: str | None = None,
         params: dict | None = None,
         density_at_zero: float | None = None,
-        mean: float | None = None,
     ):
         atoms = tuple((float(a), float(m)) for a, m in atoms)
         for loc, mass in atoms:
@@ -109,7 +108,6 @@ class Distribution1D:
         self.catalog_id = catalog_id
         self.params = dict(params) if params else None
         self.density_at_zero = density_at_zero
-        self.mean = mean
 
     dim = 1
 
@@ -175,7 +173,6 @@ def point_mass(location: float) -> Distribution1D:
         catalog_id="point-mass",
         params={"location": float(location)},
         density_at_zero=0.0,
-        mean=float(location),
     )
 
 
@@ -191,7 +188,6 @@ def exponential(lam: float) -> Distribution1D:
         catalog_id="exponential",
         params={"lambda": lam},
         density_at_zero=lam,
-        mean=1.0 / lam,
     )
 
 
@@ -224,7 +220,6 @@ def gamma_dist(lam: float, q: float) -> Distribution1D:
         catalog_id="gamma",
         params={"lambda": lam, "q": q},
         density_at_zero=f0,
-        mean=q / lam,
     )
 
 
@@ -339,7 +334,6 @@ def positive_stable(alpha: float) -> Distribution1D:
         catalog_id="positive-stable",
         params={"alpha": alpha},
         density_at_zero=0.0,
-        mean=math.inf,
     )
 
 
@@ -354,8 +348,6 @@ def mixture(components: Sequence[tuple[float, Distribution1D]]) -> Distribution1
     ac_parts = []
     terms = []
     have_terms = True
-    mean = 0.0
-    have_mean = True
     spec_entries = []
     for w, d in components:
         if w <= 0:
@@ -369,10 +361,6 @@ def mixture(components: Sequence[tuple[float, Distribution1D]]) -> Distribution1
         elif have_terms:
             for t in d.transform_terms:
                 terms.append((t[0], w * t[1], *t[2:]))
-        if d.mean is None or not math.isfinite(d.mean):
-            have_mean = False
-        elif have_mean:
-            mean += w * d.mean
         spec_entries.append({"weight": float(w), "spec": d.spec_dict()})
 
     ac_weight = sum(p[0] for p in ac_parts)
@@ -402,7 +390,6 @@ def mixture(components: Sequence[tuple[float, Distribution1D]]) -> Distribution1
         ac_cdf=ac_cdf,
         transform_terms=terms if have_terms else None,
         density_at_zero=f0,
-        mean=mean if have_mean else None,
     )
     out._mixture_spec = spec_entries
     return out
@@ -464,6 +451,8 @@ class JointDist:
         return None
 
     def spec_dict(self) -> dict:
+        if self.params is None:
+            raise ValueError(f"{self.kind}: distribution has no serializable spec")
         return {"kind": self.kind, "params": dict(self.params)}
 
 
@@ -650,14 +639,12 @@ class FreundJoint(JointDist):
             ]
         else:
             terms = None
-        out = Distribution1D(
+        return Distribution1D(
             ac_weight=1.0,
             ac_density=dens,
             ac_cdf=cdf,
             transform_terms=terms,
-            mean=None,
         )
-        return out
 
     def closed_ls(self, s):
         si, ti = float(s[0]), float(s[1])
@@ -793,58 +780,60 @@ def _gamma_table(shapes, rate, x, upper=False):
     return fn(uniq.reshape((-1,) + (1,) * x.ndim), rate * x)[inv]
 
 
-class GammaSeries2D(JointDist):
-    """Bivariate law of the form sum_t c_t Gamma(shape_xt) x Gamma(shape_yt),
-    all coefficients nonnegative and summing to 1.  Covers Moran-Downton,
-    the standard bivariate Gamma, and pair marginals of the trivariate Gamma.
+class GammaSeriesJoint(JointDist):
+    """Law of the form sum_t c_t prod_i Gamma(shapes[i, t], rates[i]), all
+    coefficients nonnegative and summing to 1 up to `series_tail`.  Covers
+    Moran-Downton, the standard bivariate Gamma, the trivariate Gamma and
+    every marginal of these of order two or more.
     """
 
-    dim = 2
-
-    def __init__(self, coeffs, shapes_x, shapes_y, rate_x, rate_y, tail, kind, params):
+    def __init__(self, coeffs, shapes, rates, tail, kind, params):
         self.coeffs = np.asarray(coeffs, dtype=float)
-        self.shapes_x = np.asarray(shapes_x, dtype=float)
-        self.shapes_y = np.asarray(shapes_y, dtype=float)
-        self.rate_x = float(rate_x)
-        self.rate_y = float(rate_y)
+        self.shapes = np.asarray(shapes, dtype=float)  # (dim, terms)
+        self.rates = np.asarray(rates, dtype=float)    # (dim,)
+        self.dim = len(self.rates)
         self.series_tail = float(tail)
         self.kind = kind
         self.params = params
 
     def separable_terms(self, xs, upper=False):
         return self.coeffs, [
-            _gamma_table(self.shapes_x, self.rate_x, xs[0], upper),
-            _gamma_table(self.shapes_y, self.rate_y, xs[1], upper),
+            _gamma_table(a, r, x, upper) for a, r, x in zip(self.shapes, self.rates, xs)
         ]
 
-    def _axis_marginal(self, shapes, rate):
+    def _axis_marginal(self, i):
         agg: dict[float, float] = {}
-        for c, a in zip(self.coeffs, shapes):
+        for c, a in zip(self.coeffs, self.shapes[i]):
             agg[float(a)] = agg.get(float(a), 0.0) + float(c)
-        pairs = sorted(agg.items())
+        # coefficients can underflow to 0 (e.g. trivariate a = 1e-60), and
+        # mixture() rejects zero weights
+        pairs = [(a, w) for a, w in sorted(agg.items()) if w > 0]
         slack = max(0.0, 1.0 - sum(w for _, w in pairs))
         # fold the truncated series tail into the largest-shape component so
         # masses still sum to 1 exactly
         if slack > 0:
             a_last, w_last = pairs[-1]
             pairs[-1] = (a_last, w_last + slack)
-        comps = [(w, gamma_dist(rate, a)) for a, w in pairs]
+        comps = [(w, gamma_dist(self.rates[i], a)) for a, w in pairs]
         total = sum(w for w, _ in comps)
         comps = [(w / total, d) for w, d in comps]
         return mixture(comps)
 
     def marginal(self, indices):
-        if indices == (0,):
-            return self._axis_marginal(self.shapes_x, self.rate_x)
-        if indices == (1,):
-            return self._axis_marginal(self.shapes_y, self.rate_y)
-        raise MissingMarginal(f"{self.kind}: no marginal {indices}")
+        idx = list(indices)
+        if not (0 < len(idx) < self.dim and 0 <= idx[0] and idx[-1] < self.dim
+                and all(a < b for a, b in zip(idx, idx[1:]))):
+            raise MissingMarginal(f"{self.kind}: no marginal {indices}")
+        if len(idx) == 1:
+            return self._axis_marginal(idx[0])
+        return GammaSeriesJoint(
+            self.coeffs, self.shapes[idx], self.rates[idx], self.series_tail,
+            f"{self.kind}-marginal-{tuple(indices)}", None,
+        )
 
     def closed_ls(self, s):
-        si, ti = float(s[0]), float(s[1])
-        fx = (self.rate_x / (self.rate_x + si)) ** self.shapes_x
-        fy = (self.rate_y / (self.rate_y + ti)) ** self.shapes_y
-        return float(np.sum(self.coeffs * fx * fy)), self.series_tail
+        factors = ((r / (r + float(si))) ** a for a, r, si in zip(self.shapes, self.rates, s))
+        return float(np.sum(math.prod(factors, start=self.coeffs))), self.series_tail
 
 
 def _geometric_tail(first_omitted: float, ratio_sup: float) -> float:
@@ -853,7 +842,7 @@ def _geometric_tail(first_omitted: float, ratio_sup: float) -> float:
     return first_omitted / (1.0 - ratio_sup)
 
 
-class _MoranDowntonJoint(GammaSeries2D):
+class _MoranDowntonJoint(GammaSeriesJoint):
     """Moran-Downton bivariate exponential; marginals are exactly Exp(1)."""
 
     def marginal(self, indices):
@@ -866,7 +855,7 @@ class _MoranDowntonJoint(GammaSeries2D):
         return 1.0 / ((1.0 + s[0]) * (1.0 + s[1]) - r * s[0] * s[1]), 0.0
 
 
-def moran_downton(r: float) -> GammaSeries2D:
+def moran_downton(r: float) -> GammaSeriesJoint:
     if not 0 <= r < 1:
         raise ParameterOutOfRange("moran-downton: r must lie in [0, 1)")
     r = float(r)
@@ -884,11 +873,11 @@ def moran_downton(r: float) -> GammaSeries2D:
     coeffs = (1.0 - r) * r**k
     shapes = (k + 1).astype(float)
     return _MoranDowntonJoint(
-        coeffs, shapes, shapes, c, c, tail, "moran-downton", {"r": r}
+        coeffs, [shapes, shapes], [c, c], tail, "moran-downton", {"r": r}
     )
 
 
-class _BivariateGammaJoint(GammaSeries2D):
+class _BivariateGammaJoint(GammaSeriesJoint):
     """Standard bivariate Gamma; marginals are Gamma(rate 1-r, shape q)."""
 
     def marginal(self, indices):
@@ -901,7 +890,7 @@ class _BivariateGammaJoint(GammaSeries2D):
         return ((1.0 - r) / ((1.0 + s[0]) * (1.0 + s[1]) - r)) ** q, 0.0
 
 
-def bivariate_gamma(r: float, q: float) -> GammaSeries2D:
+def bivariate_gamma(r: float, q: float) -> GammaSeriesJoint:
     if not 0 <= r < 1:
         raise ParameterOutOfRange("bivariate-gamma: r must lie in [0, 1)")
     if q <= 0:
@@ -923,104 +912,57 @@ def bivariate_gamma(r: float, q: float) -> GammaSeries2D:
     coeffs = np.asarray(coeffs[:-1] if r > 0 else coeffs[:1])
     shapes = q + np.arange(len(coeffs), dtype=float)
     return _BivariateGammaJoint(
-        coeffs, shapes, shapes, 1.0, 1.0, tail, "bivariate-gamma", {"r": r, "q": q}
+        coeffs, [shapes, shapes], [1.0, 1.0], tail, "bivariate-gamma", {"r": r, "q": q}
     )
 
 
-class TriGammaJoint(JointDist):
-    """Trivariate Gamma family: a double series of Gamma product terms."""
+# highest row order n of the trivariate Gamma double series
+_TRIGAMMA_ORDER = 60
 
-    kind = "trivariate-gamma"
-    dim = 3
 
-    def __init__(self, alpha: float, a: float, b: float, n_max: int = 60):
-        if alpha <= 0 or a <= 0 or b <= 0:
-            raise ParameterOutOfRange("trivariate-gamma: alpha, a, b must be > 0")
-        if a * a + b * b >= 1:
-            raise ParameterOutOfRange("trivariate-gamma: need a^2 + b^2 < 1")
-        self.alpha, self.a, self.b = float(alpha), float(a), float(b)
-        u, v = a * a, b * b
-        pref = (1.0 - u - v) ** alpha
-        rows = []
-        row_total = pref  # n = 0 row
-        n = 0
-        while n <= n_max:
-            # binomial split of row_total over ell: C(n,l) u^l v^(n-l) / (u+v)^n
-            ell = np.arange(n + 1)
-            logw = (
-                gammaln(n + 1)
-                - gammaln(ell + 1)
-                - gammaln(n - ell + 1)
-                + ell * math.log(u)
-                + (n - ell) * math.log(v)
-            )
-            rows.append(row_total / (u + v) ** n * np.exp(logw))
-            row_total *= (n + alpha) / (n + 1.0) * (u + v)
-            if row_total < 1e-14 and n >= 2:
-                n += 1
-                break
+def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
+    """Trivariate Gamma family: the double series sum_{n, ell} c_{n, ell}
+    Gamma(alpha + ell) x Gamma(alpha + n) x Gamma(alpha + n - ell), rate 1."""
+    if alpha <= 0 or a <= 0 or b <= 0:
+        raise ParameterOutOfRange("trivariate-gamma: alpha, a, b must be > 0")
+    if a * a + b * b >= 1:
+        raise ParameterOutOfRange("trivariate-gamma: need a^2 + b^2 < 1")
+    alpha, a, b = float(alpha), float(a), float(b)
+    u, v = a * a, b * b
+    pref = (1.0 - u - v) ** alpha
+    rows = []
+    row_total = pref  # n = 0 row
+    n = 0
+    while n <= _TRIGAMMA_ORDER:
+        # binomial split of row_total over ell: C(n,l) u^l v^(n-l) / (u+v)^n
+        ell = np.arange(n + 1)
+        logw = (
+            gammaln(n + 1)
+            - gammaln(ell + 1)
+            - gammaln(n - ell + 1)
+            + ell * math.log(u)
+            + (n - ell) * math.log(v)
+        )
+        rows.append(row_total / (u + v) ** n * np.exp(logw))
+        row_total *= (n + alpha) / (n + 1.0) * (u + v)
+        if row_total < 1e-14 and n >= 2:
             n += 1
-        ratio_sup = (u + v) * max(1.0, (n + alpha) / (n + 1.0))
-        tail = _geometric_tail(row_total, ratio_sup)
-        if tail > 1e-10:
-            raise ParameterOutOfRange(
-                "trivariate-gamma: series tail bound exceeds 1e-10 at the "
-                f"truncation order {n_max}; a^2+b^2 = {u + v:.4g} is too large"
-            )
-        self.rows = rows           # rows[n][ell] = coefficient c_{n, ell}
-        # the same terms flattened: c_{n, ell} with shapes alpha + (ell, n, n - ell)
-        self.coeffs = np.concatenate(rows)
-        n_idx = np.concatenate([np.full(k + 1, k) for k in range(len(rows))])
-        ell_idx = np.concatenate([np.arange(k + 1) for k in range(len(rows))])
-        self.shapes = self.alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx])
-        self.series_tail = tail
-        self.params = {"alpha": self.alpha, "a": self.a, "b": self.b}
-
-    def separable_terms(self, xs, upper=False):
-        return self.coeffs, [
-            _gamma_table(a, 1.0, x, upper) for a, x in zip(self.shapes, xs)
-        ]
-
-    def marginal(self, indices):
-        K = len(self.rows)
-        if len(indices) == 1:
-            w = np.zeros(K)
-            for n, row in enumerate(self.rows):
-                if indices == (0,):
-                    w[: n + 1] += row
-                elif indices == (1,):
-                    w[n] += row.sum()
-                elif indices == (2,):
-                    w[: n + 1] += row[::-1]
-                else:
-                    raise MissingMarginal(f"trivariate-gamma: no marginal {indices}")
-            w[np.argmax(w)] += max(0.0, 1.0 - w.sum())
-            comps = [
-                (wi / w.sum(), gamma_dist(1.0, self.alpha + k))
-                for k, wi in enumerate(w)
-                if wi > 0
-            ]
-            return mixture(comps)
-        if indices in ((0, 1), (0, 2), (1, 2)):
-            i, j = indices
-            return GammaSeries2D(
-                self.coeffs, self.shapes[i], self.shapes[j], 1.0, 1.0,
-                self.series_tail, f"trivariate-gamma-marginal-{indices}", None,
-            )
-        raise MissingMarginal(f"trivariate-gamma: no marginal {indices}")
-
-    def closed_ls(self, s):
-        si, ti, ui = (float(v) for v in s)
-        fx = 1.0 / (1.0 + si)
-        fy = 1.0 / (1.0 + ti)
-        fz = 1.0 / (1.0 + ui)
-        total = 0.0
-        for n, row in enumerate(self.rows):
-            ell = np.arange(n + 1)
-            total += fy ** (self.alpha + n) * float(
-                np.sum(row * fx ** (self.alpha + ell) * fz ** (self.alpha + n - ell))
-            )
-        return total, self.series_tail
+            break
+        n += 1
+    ratio_sup = (u + v) * max(1.0, (n + alpha) / (n + 1.0))
+    tail = _geometric_tail(row_total, ratio_sup)
+    if tail > 1e-10:
+        raise ParameterOutOfRange(
+            "trivariate-gamma: series tail bound exceeds 1e-10 at the "
+            f"truncation order {_TRIGAMMA_ORDER}; a^2+b^2 = {u + v:.4g} is too large"
+        )
+    # term c_{n, ell} = rows[n][ell] has shapes alpha + (ell, n, n - ell)
+    n_idx = np.concatenate([np.full(k + 1, k) for k in range(len(rows))])
+    ell_idx = np.concatenate([np.arange(k + 1) for k in range(len(rows))])
+    return GammaSeriesJoint(
+        np.concatenate(rows), alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx]),
+        np.ones(3), tail, "trivariate-gamma", {"alpha": alpha, "a": a, "b": b},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -1084,7 +1026,7 @@ _register("bivariate-gamma", ["r", "q"], "0 <= r < 1, q > 0",
           lambda p: bivariate_gamma(p["r"], p["q"]))
 _register("trivariate-gamma", ["alpha", "a", "b"],
           "alpha, a, b > 0 and a^2 + b^2 < 1",
-          lambda p: TriGammaJoint(p["alpha"], p["a"], p["b"]))
+          lambda p: trivariate_gamma(p["alpha"], p["a"], p["b"]))
 _register("blm", ["theta", "f_lambda", "g_lambda"],
           "theta > 0 and (f_lambda + g_lambda)/theta - 1 in [0, 1]",
           lambda p: BlmJoint(BlmSpec(exponential(p["f_lambda"]),

@@ -203,39 +203,38 @@ def _required_prec(q: float, lambdas: Sequence[float]) -> int:
     return max(128, int(maxlog - min_diag) + 96)
 
 
-def coefficient_triangle(
-    q: float, lambdas: Sequence[float], n_max: int | None = None
-) -> Iterator[MuntzApproximant]:
-    """Yield the approximants for n = 1..n_max along a single recursion pass."""
+def coefficient_triangle(q: float, lambdas: Sequence[float]) -> Iterator[MuntzApproximant]:
+    """Yield the approximants for n = 1..len(lambdas) along a single
+    recursion pass.
+
+    The working precision is raised only while a step computes, never
+    across a yield, so code running between steps (or another triangle)
+    keeps its own mpmath precision.
+    """
     lambdas = [float(v) for v in lambdas]
-    if n_max is None:
-        n_max = len(lambdas)
-    if n_max > len(lambdas):
-        raise ParameterOutOfRange("n exceeds the materialized prefix length")
-    lambdas = lambdas[:n_max]
     _validate(q, lambdas)
     prec = _required_prec(q, lambdas)
     with mp.workprec(prec):
         qm = mpf(q)
         lams = [mpf(v) for v in lambdas]
-        col: list = []
-        bound = 1.0
-        for m in range(n_max):
-            lam_m = lams[m]
+    col: list = []
+    bound = 1.0
+    for m, lam_m in enumerate(lams):
+        with mp.workprec(prec):
             for k in range(m):
                 col[k] = col[k] * (lam_m - qm) / (lam_m - lams[k])
             diag = mpf(1)
             for k in range(m):
                 diag *= (lams[k] - qm) / (lams[k] - lam_m)
-            col.append(diag)
-            bound *= abs(1.0 - q / lambdas[m])
-            yield MuntzApproximant(
-                q=q,
-                lambdas=tuple(lambdas[: m + 1]),
-                coeffs=tuple(col),
-                prec=prec,
-                bound=bound,
-            )
+        col.append(diag)
+        bound *= abs(1.0 - q / lambdas[m])
+        yield MuntzApproximant(
+            q=q,
+            lambdas=tuple(lambdas[: m + 1]),
+            coeffs=tuple(col),
+            prec=prec,
+            bound=bound,
+        )
 
 
 def golitschek_coeffs(q: float, lambdas, n: int | None = None) -> MuntzApproximant:
@@ -299,10 +298,6 @@ def qn_eval(approx: MuntzApproximant, x: float) -> float:
         return float(total)
 
 
-def qn_values(approx: MuntzApproximant, xs: Sequence[float]) -> np.ndarray:
-    return np.array([qn_eval(approx, float(x)) for x in xs])
-
-
 class SupEstimate(NamedTuple):
     sup: float
     argmax: float
@@ -321,7 +316,7 @@ def sup_norm_estimate(approx: MuntzApproximant, grid_size: int | None = None) ->
         raise ParameterOutOfRange("grid_size must be >= 100")
     j = np.arange(grid_size)
     xs = 0.5 * (1.0 - np.cos(math.pi * j / (grid_size - 1)))
-    vals = np.abs(qn_values(approx, xs))
+    vals = np.abs([qn_eval(approx, float(x)) for x in xs])
     i = int(np.argmax(vals))
 
     lo = xs[max(i - 1, 0)]

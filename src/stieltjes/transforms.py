@@ -57,11 +57,8 @@ def _as_svec(s) -> tuple[float, ...]:
     return tuple(float(v) for v in s)
 
 
-def _truncation(s: float, tol: float, n_axes: int = 1,
-                override: float | None = None) -> float:
+def _truncation(s: float, tol: float, n_axes: int = 1) -> float:
     """Axis cutoff T with tail bound e^{-sT} <= tol / (4 n_axes)."""
-    if override is not None:
-        return override
     return max(20.0 / s, math.log(4.0 * n_axes / tol) / s)
 
 
@@ -69,8 +66,7 @@ def _truncation(s: float, tol: float, n_axes: int = 1,
 # Univariate routes
 
 
-def ls_direct(dist: Distribution1D, s: float, tol: float = DEFAULT_TOL,
-              truncation: float | None = None) -> TransformValue:
+def ls_direct(dist: Distribution1D, s: float, tol: float = DEFAULT_TOL) -> TransformValue:
     """Stieltjes route: atom sum plus quadrature of density * exp(-s x).
 
     Fails with NoDensityRoute when a non-atomic part has no density
@@ -88,16 +84,15 @@ def ls_direct(dist: Distribution1D, s: float, tol: float = DEFAULT_TOL,
             "distribution has a non-atomic part with no density evaluator"
         )
 
-    T = _truncation(s, tol, override=truncation)
+    T = _truncation(s, tol)
     tail = math.exp(-s * T) * dist.ac_weight * max(0.0, 1.0 - float(dist.ac_cdf(T)))
-    if truncation is None:
-        for _ in range(60):
-            if tail <= tol / 4:
-                break
-            T *= 1.5
-            tail = math.exp(-s * T) * dist.ac_weight * max(
-                0.0, 1.0 - float(dist.ac_cdf(T))
-            )
+    for _ in range(60):
+        if tail <= tol / 4:
+            break
+        T *= 1.5
+        tail = math.exp(-s * T) * dist.ac_weight * max(
+            0.0, 1.0 - float(dist.ac_cdf(T))
+        )
 
     w = dist.ac_weight
 
@@ -110,10 +105,9 @@ def ls_direct(dist: Distribution1D, s: float, tol: float = DEFAULT_TOL,
     return TransformValue(atom_part + res.value, res.error + tail, "direct", res.evaluations)
 
 
-def _ls_survival_1d(dist: Distribution1D, s: float, tol: float,
-                    truncation: float | None = None) -> TransformValue:
+def _ls_survival_1d(dist: Distribution1D, s: float, tol: float) -> TransformValue:
     """Survival route: value = 1 - s * int exp(-sx) Fbar(x) dx."""
-    T = _truncation(s, tol, override=truncation)
+    T = _truncation(s, tol)
 
     def integrand(x):
         return np.asarray(dist.survival(x)) * np.exp(-s * x)
@@ -171,8 +165,7 @@ def _triangle_eval(point_fn, outer, inner, upper):
     return evaluate
 
 
-def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False,
-                     truncation: float | None = None):
+def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False):
     """(prod s_i) * integral of (survival or CDF) * exp(-sum s_i x_i) over the
     orthant, for every s in the Cartesian product of the per-axis tuples
     `s_axes`, on one shared grid.
@@ -192,7 +185,7 @@ def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False,
 
     if dim == 2 and dist.diagonal_seam:
         s, t = s_axes
-        T = _truncation(min(s + t), tol, 2, truncation)
+        T = _truncation(min(s + t), tol, 2)
         Ts = [T, T]
         val = err = 0.0
         evals = 0
@@ -210,7 +203,7 @@ def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False,
             err += orient(r.error[:, :, 0])
             evals += r.evaluations
     else:
-        Ts = [_truncation(min(s), tol, dim, truncation) for s in s_axes]
+        Ts = [_truncation(min(s), tol, dim) for s in s_axes]
         axes = [AxisSpec(length=T, rate=max(s)) for T, s in zip(Ts, s_axes)]
         r = tensor_quad(_weighted_cdf_eval(dist, s_axes, use_survival), axes, cell_tol[None])
         val, err, evals = r.value[0], r.error[0], r.evaluations
@@ -218,8 +211,7 @@ def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False,
     return prod_s * val, prod_s * err, evals, tail
 
 
-def ls_carson(dist, s, tol: float = DEFAULT_TOL,
-              truncation: float | None = None) -> TransformValue:
+def ls_carson(dist, s, tol: float = DEFAULT_TOL) -> TransformValue:
     """Carson route: (prod s_i) * Laplace transform of the CDF.
 
     Total for every distribution here, including those with singular parts,
@@ -233,7 +225,7 @@ def ls_carson(dist, s, tol: float = DEFAULT_TOL,
         if len(svec) != 1:
             raise ParameterOutOfRange("univariate distribution takes a single s")
         s0 = svec[0]
-        T = _truncation(s0, tol, override=truncation)
+        T = _truncation(s0, tol)
 
         def integrand(x):
             return np.asarray(dist.cdf(x)) * np.exp(-s0 * x)
@@ -245,12 +237,11 @@ def ls_carson(dist, s, tol: float = DEFAULT_TOL,
             s0 * res.value, s0 * res.error + tail, "carson", res.evaluations
         )
 
-    values, errors, evals = ls_carson_grid(dist, [(v,) for v in svec], tol, truncation)
+    values, errors, evals = ls_carson_grid(dist, [(v,) for v in svec], tol)
     return TransformValue(values.item(), errors.item(), "carson", evals)
 
 
-def ls_carson_grid(dist: JointDist, s_axes, tol: float = DEFAULT_TOL,
-                   truncation: float | None = None):
+def ls_carson_grid(dist: JointDist, s_axes, tol: float = DEFAULT_TOL):
     """Carson route for a joint law at every s in the Cartesian product of
     the per-axis tuples `s_axes`, integrated on one shared grid.
 
@@ -270,12 +261,11 @@ def ls_carson_grid(dist: JointDist, s_axes, tol: float = DEFAULT_TOL,
         )
     if dist.dim > 4:
         raise DimensionTooLarge("tensor quadrature is capped at dimension 4")
-    value, err, evals, tail = _carson_integral(dist, s_axes, tol / 2, truncation=truncation)
+    value, err, evals, tail = _carson_integral(dist, s_axes, tol / 2)
     return value, err + tail, evals
 
 
-def ls_survival_route(dist: JointDist, s: float, t: float, tol: float = 1e-8,
-                      truncation: float | None = None) -> TransformValue:
+def ls_survival_route(dist: JointDist, s: float, t: float, tol: float = 1e-8) -> TransformValue:
     """Bivariate survival route:
     value = s*t * int int Hbar e^{-sx-ty} - 1 + L_F(s) + L_G(t),
     with the marginal transforms themselves computed by the Carson route."""
@@ -283,11 +273,9 @@ def ls_survival_route(dist: JointDist, s: float, t: float, tol: float = 1e-8,
     _check_s([s, t])
     if not (isinstance(dist, JointDist) and dist.dim == 2):
         raise ParameterOutOfRange("survival route needs a bivariate distribution")
-    val, err, evals, tail = _carson_integral(
-        dist, [(s,), (t,)], tol / 4, use_survival=True, truncation=truncation
-    )
-    lf = ls_carson(dist.marginal((0,)), s, tol / 4, truncation=truncation)
-    lg = ls_carson(dist.marginal((1,)), t, tol / 4, truncation=truncation)
+    val, err, evals, tail = _carson_integral(dist, [(s,), (t,)], tol / 4, use_survival=True)
+    lf = ls_carson(dist.marginal((0,)), s, tol / 4)
+    lg = ls_carson(dist.marginal((1,)), t, tol / 4)
     value = val.item() - 1.0 + lf.value + lg.value
     est = (err + tail).item() + lf.est_error + lg.est_error
     return TransformValue(value, est, "survival", evals + lf.evaluations + lg.evaluations)
@@ -328,8 +316,7 @@ def resolve_route(dist, svec, route: str) -> str:
     return "closed_form" if closed is not None else "carson"
 
 
-def transform_value(dist, s, route: str = "auto", tol: float = DEFAULT_TOL,
-                    truncation: float | None = None) -> TransformValue:
+def transform_value(dist, s, route: str = "auto", tol: float = DEFAULT_TOL) -> TransformValue:
     """Route dispatcher; route='auto' prefers the closed form, then Carson."""
     route = canonical_route(route)
     svec = _as_svec(s)
@@ -340,15 +327,15 @@ def transform_value(dist, s, route: str = "auto", tol: float = DEFAULT_TOL,
     if route == "direct":
         if not isinstance(dist, Distribution1D):
             raise ParameterOutOfRange("direct route applies to univariate laws only")
-        return ls_direct(dist, svec[0], tol, truncation=truncation)
+        return ls_direct(dist, svec[0], tol)
     if route == "carson":
-        return ls_carson(dist, svec, tol, truncation=truncation)
+        return ls_carson(dist, svec, tol)
     if isinstance(dist, Distribution1D):
         _check_tol(tol)
-        return _ls_survival_1d(dist, svec[0], tol, truncation=truncation)
+        return _ls_survival_1d(dist, svec[0], tol)
     if dist.dim != 2:
         raise ParameterOutOfRange("survival route supports dimensions 1 and 2")
-    return ls_survival_route(dist, svec[0], svec[1], tol, truncation=truncation)
+    return ls_survival_route(dist, svec[0], svec[1], tol)
 
 
 # ---------------------------------------------------------------------------

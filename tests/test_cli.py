@@ -235,6 +235,17 @@ def test_precision_bits_only_on_invert(capsys, command):
     assert _strict_json(out)["precision_bits"] >= 256
 
 
+@pytest.mark.parametrize("command", [
+    ["invert", "--spec", EXP_SPEC, "--x", "1", "--n", "4"],
+    ["muntz", "--len", "3"],
+])
+def test_tol_only_where_read(capsys, command):
+    code, _, err = run(capsys, *command, "--tol", "1e-6")
+    assert code == 2 and "--tol" in err
+    code, _, _ = run(capsys, *command)
+    assert code == 0
+
+
 def test_catalog_lists_all(capsys):
     code, out, _ = run(capsys, "catalog")
     assert code == 0

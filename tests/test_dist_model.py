@@ -280,15 +280,21 @@ def test_trivariate_gamma_pointwise_matches_row_sums(monkeypatch):
     from scipy.special import gammainc, gammaincc
 
     tg = dm.make_catalog("trivariate-gamma", {"alpha": 1.0, "a": 0.5, "b": 0.5})
+    alpha = tg.params["alpha"]
+    # regroup the flat terms into rows: row n holds c_{n, ell}, ell = 0..n
+    n_of = np.rint(tg.shapes[1] - alpha).astype(int)
+    rows = [tg.coeffs[n_of == n] for n in range(n_of.max() + 1)]
+    for n, row in enumerate(rows):
+        assert np.array_equal(tg.shapes[0][n_of == n], alpha + np.arange(n + 1))
     x, y, z = RNG.uniform(0.05, 6.0, size=(3, 200))
     monkeypatch.setattr(dm, "_TERM_BLOCK", 1000)
     for upper, fn in ((False, gammainc), (True, gammaincc)):
         ref = sum(
-            fn(tg.alpha + n, y) * sum(
-                c * fn(tg.alpha + ell, x) * fn(tg.alpha + n - ell, z)
+            fn(alpha + n, y) * sum(
+                c * fn(alpha + ell, x) * fn(alpha + n - ell, z)
                 for ell, c in enumerate(row)
             )
-            for n, row in enumerate(tg.rows)
+            for n, row in enumerate(rows)
         )
         got = tg.survival(x, y, z) if upper else tg.cdf(x, y, z)
         assert np.max(np.abs(got - ref)) <= 1e-14
@@ -319,8 +325,12 @@ def test_marginals_of_every_order():
             (1, 2): tg.cdf(200.0, pt[0], pt[1]),
         }[idx]
         assert abs(float(m2.cdf(*pt)) - float(full)) <= 1e-9
-    with pytest.raises(MissingMarginal):
-        tg.marginal((0, 1, 2, 3))
+        # a marginal has no catalog spec: serialising it is a value error
+        with pytest.raises(ValueError):
+            m2.spec_dict()
+    for bad in [(0, 1, 2, 3), (0, 1, 2), (1, 0), (0, 0), (3,), ()]:
+        with pytest.raises(MissingMarginal):
+            tg.marginal(bad)
 
 
 def test_freund_marginal_consistency():

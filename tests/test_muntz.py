@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from mpmath import mp
 
 from stieltjes import muntz as mu
 from stieltjes.errors import ParameterOutOfRange, QCollidesWithLambda
@@ -151,6 +152,19 @@ def test_bound_contraction_sampled():
         for ap in mu.coefficient_triangle(q, lambdas):
             est = mu.sup_norm_estimate(ap, 120)
             assert est.sup <= ap.bound + 1e-9
+
+
+def test_interleaved_triangles_leave_the_precision_alone():
+    # the working precision is raised inside each step only: a suspended
+    # triangle never leaves it raised for the caller or another triangle
+    assert mp.prec == 53
+    a = mu.coefficient_triangle(0.5, [float(k) for k in range(1, 9)])
+    b = mu.coefficient_triangle(0.3, [float(p) for p in mu.first_primes(8)])
+    for _ in range(4):
+        assert next(a).prec > 53 and mp.prec == 53
+        assert next(b).prec > 53 and mp.prec == 53
+    assert len(list(a)) == 4 and mp.prec == 53
+    assert len(list(b)) == 4 and mp.prec == 53
 
 
 def test_recursion_matches_integral_steps():
