@@ -57,9 +57,7 @@ def _stencil(f, k: int, s, h):
     return total / h**k
 
 
-def synthesize_derivatives(
-    oracle: TransformOracle, k: int, s: float, precision_bits: int | None = None
-) -> DerivativeEstimate:
+def synthesize_derivatives(oracle: TransformOracle, k: int, s: float) -> DerivativeEstimate:
     """k-th derivative of oracle.eval at s by extended-precision differences.
 
     Step size h = s * 2^(-p/(2k+2)) balances truncation against roundoff at
@@ -73,9 +71,7 @@ def synthesize_derivatives(
         raise DerivativeUnavailable(
             f"synthesized derivatives are capped at order {SYNTH_MAX_ORDER}"
         )
-    p = precision_bits if precision_bits is not None else _work_prec(k, oracle)
-    if p < 64 + 8 * k:
-        raise ParameterOutOfRange(f"precision_bits must be >= {64 + 8 * k} for k={k}")
+    p = _work_prec(k, oracle)
     with mp.workprec(p + 16):
         sm = mpf(s)
         if k == 0:

@@ -90,8 +90,3 @@ def parse_spec(source: str):
     except json.JSONDecodeError as exc:
         raise SpecFormatError(f"invalid JSON: {exc}") from exc
     return spec_from_dict(doc)
-
-
-def spec_to_dict(dist) -> dict:
-    """Serialize a catalog distribution or mixture back to its spec document."""
-    return dist.spec_dict()

@@ -3,14 +3,15 @@
 Three numerical routes are provided and cross-checkable: direct Stieltjes
 integration against atoms + density, the Carson route s_1...s_n * integral of
 the CDF (needs nothing but the CDF, so it absorbs singular parts), and the
-survival-function route in one and two dimensions.  Catalog laws add their
-closed forms.  `verify_identity` confirms that all available routes agree and,
-up to dimension three, checks the expanded product-moment identity with every
-lower-order marginal term.
+survival-function route, which in n dimensions is the inclusion-exclusion
+identity E[prod(1 - e^{-s_i X_i})] = (prod s_i) * integral of the survival
+function.  Catalog laws add their closed forms.  `verify_identity` confirms
+that all available routes agree and reports both sides of that identity.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -99,10 +100,18 @@ def ls_direct(dist: Distribution1D, s: float, tol: float = DEFAULT_TOL) -> Trans
     def integrand(x):
         return w * np.asarray(dist.ac_density(x)) * np.exp(-s * x)
 
-    # geometric seed panels resolve integrable density singularities at 0
-    seeds = [T * 0.5**j for j in range(1, 40)]
-    res = adaptive_quad(integrand, 0.0, T, tol / 2, breakpoints=seeds)
-    return TransformValue(atom_part + res.value, res.error + tail, "direct", res.evaluations)
+    # head panel [0, h]: its term lies in [w F(h) e^{-sh}, w F(h)] whatever
+    # the density does at 0, so the midpoint is within half that width; h is
+    # the largest of the geometric points T / 2^j (or 0) where that is tol/8
+    hs = np.append(T * 0.5 ** np.arange(1, 64), 0.0)
+    head = w * np.asarray(dist.ac_cdf(hs), dtype=float)
+    half = 0.5 * head * -np.expm1(-s * hs)
+    j = int(np.argmax(half <= tol / 8))
+    # the geometric seed panels above h resolve what is left of a singularity
+    res = adaptive_quad(integrand, float(hs[j]), T, tol / 2, breakpoints=hs[:j])
+    value = atom_part + float(head[j] - half[j]) + res.value
+    return TransformValue(value, res.error + float(half[j]) + tail, "direct",
+                          res.evaluations + hs.size)
 
 
 def _ls_survival_1d(dist: Distribution1D, s: float, tol: float) -> TransformValue:
@@ -255,30 +264,61 @@ def ls_carson_grid(dist: JointDist, s_axes, tol: float = DEFAULT_TOL):
         if not s:
             raise ParameterOutOfRange("every axis needs at least one s")
         _check_s(s)
-    if len(s_axes) != dist.dim:
-        raise ParameterOutOfRange(
-            f"s has dimension {len(s_axes)}, distribution has {dist.dim}"
-        )
-    if dist.dim > 4:
-        raise DimensionTooLarge("tensor quadrature is capped at dimension 4")
+    _check_joint_dim(dist, len(s_axes))
     value, err, evals, tail = _carson_integral(dist, s_axes, tol / 2)
     return value, err + tail, evals
 
 
-def ls_survival_route(dist: JointDist, s: float, t: float, tol: float = 1e-8) -> TransformValue:
-    """Bivariate survival route:
-    value = s*t * int int Hbar e^{-sx-ty} - 1 + L_F(s) + L_G(t),
-    with the marginal transforms themselves computed by the Carson route."""
+def _check_joint_dim(dist: JointDist, n: int):
+    if n != dist.dim:
+        raise ParameterOutOfRange(f"s has dimension {n}, distribution has {dist.dim}")
+    if dist.dim > 4:
+        raise DimensionTooLarge("tensor quadrature is capped at dimension 4")
+
+
+def _survival_identity(dist: JointDist, svec, tol):
+    """Both sides of E[prod(1 - e^{-s_i X_i})] = (prod s_i) * int Hbar e^{-s.x}
+    for a joint law of dimension n, and the survival-route value of L(s).
+
+    The right side is one survival integral at tol/2.  The left side, without
+    its full-transform term (-1)^n L(s), is 1 plus (-1)^|S| L_S(s_S) over the
+    2^n - 2 proper marginals S, each by route 'auto', sharing the other tol/2
+    evenly.  Returns (TransformValue of (-1)^n (right - left), left, right).
+    """
+    n = len(svec)
+    val, err, evals, tail = _carson_integral(
+        dist, [(v,) for v in svec], tol / 2, use_survival=True
+    )
+    right, est = val.item(), (err + tail).item()
+    subsets = [c for k in range(1, n) for c in itertools.combinations(range(n), k)]
+    left = 1.0
+    for subset in subsets:
+        tv = transform_value(dist.marginal(subset), [svec[i] for i in subset],
+                             route="auto", tol=tol / (2 * len(subsets)))
+        left += (-1.0) ** len(subset) * tv.value
+        est += tv.est_error
+        evals += tv.evaluations
+    # closed forms of mixture marginals are numpy scalars; values stay plain
+    # floats so reports serialise as JSON
+    left = float(left)
+    value = (-1.0) ** n * (right - left)
+    return TransformValue(value, est, "survival", evals), left, right
+
+
+def ls_survival_route(dist, *s, tol: float = 1e-8) -> TransformValue:
+    """Survival route, ls_survival_route(dist, s_1, ..., s_n), any dimension:
+    value = 1 - s * int e^{-sx} Fbar(x) dx for a univariate law, and for a
+    joint law the inclusion-exclusion identity solved for L(s), with the
+    transforms of the proper marginals taken by route 'auto'."""
     _check_tol(tol)
-    _check_s([s, t])
-    if not (isinstance(dist, JointDist) and dist.dim == 2):
-        raise ParameterOutOfRange("survival route needs a bivariate distribution")
-    val, err, evals, tail = _carson_integral(dist, [(s,), (t,)], tol / 4, use_survival=True)
-    lf = ls_carson(dist.marginal((0,)), s, tol / 4)
-    lg = ls_carson(dist.marginal((1,)), t, tol / 4)
-    value = val.item() - 1.0 + lf.value + lg.value
-    est = (err + tail).item() + lf.est_error + lg.est_error
-    return TransformValue(value, est, "survival", evals + lf.evaluations + lg.evaluations)
+    svec = _as_svec(s)
+    _check_s(svec)
+    if isinstance(dist, Distribution1D):
+        if len(svec) != 1:
+            raise ParameterOutOfRange("univariate distribution takes a single s")
+        return _ls_survival_1d(dist, svec[0], tol)
+    _check_joint_dim(dist, len(svec))
+    return _survival_identity(dist, svec, tol)[0]
 
 
 def closed_form_ls(dist, s) -> TransformValue:
@@ -330,12 +370,7 @@ def transform_value(dist, s, route: str = "auto", tol: float = DEFAULT_TOL) -> T
         return ls_direct(dist, svec[0], tol)
     if route == "carson":
         return ls_carson(dist, svec, tol)
-    if isinstance(dist, Distribution1D):
-        _check_tol(tol)
-        return _ls_survival_1d(dist, svec[0], tol)
-    if dist.dim != 2:
-        raise ParameterOutOfRange("survival route supports dimensions 1 and 2")
-    return ls_survival_route(dist, svec[0], svec[1], tol)
+    return ls_survival_route(dist, *svec, tol=tol)
 
 
 # ---------------------------------------------------------------------------
@@ -376,44 +411,39 @@ class IdentityReport:
         return doc
 
 
-def _subsets(n):
-    import itertools
-
-    for k in range(1, n + 1):
-        for c in itertools.combinations(range(n), k):
-            yield c
-
-
 def verify_identity(dist, s, tol: float = 1e-8) -> IdentityReport:
     """Numerically confirm that every available transform route agrees.
 
-    For joint laws up to dimension three this additionally checks the
-    expanded identity E[prod(1 - e^{-s_i X_i})] = (prod s_i) * integral of
-    the joint survival function, where the left side is assembled from the
-    transforms of all lower-order marginals.
+    For a joint law the survival route is the expanded identity
+    E[prod(1 - e^{-s_i X_i})] = (prod s_i) * integral of the joint survival
+    function, whose left side is assembled from the transforms of all
+    lower-order marginals; the report carries both sides from that one
+    evaluation, with the closed form (else Carson) as the full-transform term.
     """
     _check_tol(tol)
     svec = _as_svec(s)
     _check_s(svec)
+    joint = not isinstance(dist, Distribution1D)
+    if joint:
+        _check_joint_dim(dist, len(svec))
     rep = IdentityReport(dim=len(svec), s=svec, tol=tol)
     quad_tol = tol / 4
 
     values = {}
-    if isinstance(dist, Distribution1D):
-        if dist.closed_ls(svec[0]) is not None:
-            values["closed_form"] = closed_form_ls(dist, svec)
-        if dist.has_density:
-            values["direct"] = ls_direct(dist, svec[0], quad_tol)
-        values["carson"] = ls_carson(dist, svec, quad_tol)
-        values["survival"] = _ls_survival_1d(dist, svec[0], quad_tol)
+    if resolve_route(dist, svec, "auto") == "closed_form":
+        values["closed_form"] = closed_form_ls(dist, svec)
+    if not joint and dist.has_density:
+        values["direct"] = ls_direct(dist, svec[0], quad_tol)
+    values["carson"] = ls_carson(dist, svec, quad_tol)
+    if joint:
+        surv, left, right = _survival_identity(dist, svec, quad_tol)
+        reference = values.get("closed_form", values["carson"]).value
+        rep.expanded_lhs = float(left + (-1.0) ** len(svec) * reference)
+        rep.expanded_rhs = right
+        rep.expanded_gap = abs(rep.expanded_lhs - right)
     else:
-        if dist.dim != len(svec):
-            raise ParameterOutOfRange("s-vector dimension mismatch")
-        if dist.closed_ls(svec) is not None:
-            values["closed_form"] = closed_form_ls(dist, svec)
-        values["carson"] = ls_carson(dist, svec, quad_tol)
-        if dist.dim == 2:
-            values["survival"] = ls_survival_route(dist, svec[0], svec[1], quad_tol)
+        surv = _ls_survival_1d(dist, svec[0], quad_tol)
+    values["survival"] = surv
 
     rep.route_values = values
     rep.evaluations = sum(v.evaluations for v in values.values())
@@ -421,30 +451,7 @@ def verify_identity(dist, s, tol: float = 1e-8) -> IdentityReport:
     rep.max_route_gap = float(max(
         (abs(a - b) for i, a in enumerate(vals) for b in vals[i + 1:]), default=0.0
     ))
-    passed = rep.max_route_gap <= tol
-
-    if isinstance(dist, JointDist) and 2 <= dist.dim <= 3:
-        n = dist.dim
-        lhs = 1.0
-        for subset in _subsets(n):
-            sub_s = [svec[i] for i in subset]
-            marg = dist if len(subset) == n else dist.marginal(subset)
-            tv = transform_value(marg, sub_s, route="auto", tol=quad_tol)
-            rep.evaluations += tv.evaluations
-            lhs += (-1.0) ** len(subset) * tv.value
-        val, _, evals, _ = _carson_integral(
-            dist, [(v,) for v in svec], quad_tol / 2, use_survival=True
-        )
-        rep.evaluations += evals
-        rhs = val.item()
-        # closed forms of mixture marginals are numpy scalars; the report
-        # holds plain floats and a plain bool so it serialises as JSON
-        rep.expanded_lhs = float(lhs)
-        rep.expanded_rhs = rhs
-        rep.expanded_gap = float(abs(lhs - rhs))
-        passed = passed and rep.expanded_gap <= tol
-
-    rep.passed = bool(passed)
+    rep.passed = bool(rep.max_route_gap <= tol and (rep.expanded_gap or 0.0) <= tol)
     return rep
 
 

@@ -6,7 +6,9 @@ import pytest
 
 from stieltjes import specio
 from stieltjes.cli import main
+from stieltjes.dist_model import make_catalog
 from stieltjes.errors import SpecFormatError
+from stieltjes.transforms import closed_form_ls
 
 EXP_SPEC = '{"kind":"exponential","params":{"lambda":1}}'
 
@@ -210,6 +212,18 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def test_transform_survival_trivariate_cli(capsys):
+    params = {"alpha": 1.0, "a": 0.5, "b": 0.5}
+    tg = json.dumps({"kind": "trivariate-gamma", "params": params})
+    code, out, err = run(capsys, "transform", "--spec", tg, "--s", "1,2,3",
+                         "--route", "survival", "--tol", "1e-6")
+    assert code == 0, err
+    doc = _strict_json(out)
+    assert doc["route"] == "survival"
+    closed = closed_form_ls(make_catalog("trivariate-gamma", params), (1.0, 2.0, 3.0))
+    assert abs(doc["value"] - closed.value) <= doc["est_error"] + closed.est_error
+
+
 def test_verify_identity_trivariate_cli(capsys):
     tg = '{"kind":"trivariate-gamma","params":{"alpha":1.0,"a":0.5,"b":0.5}}'
     code, out, err = run(capsys, "verify-identity", "--spec", tg, "--s", "1,2,3",
@@ -288,7 +302,7 @@ def test_round_trip_every_catalog_spec():
     rng = np.random.default_rng(17)
     for doc in _catalog_specs():
         d1 = specio.spec_from_dict(doc)
-        d2 = specio.spec_from_dict(specio.spec_to_dict(d1))
+        d2 = specio.spec_from_dict(d1.spec_dict())
         dim = getattr(d1, "dim", 1)
         pts = rng.uniform(0.05, 5.0, size=(100, dim))
         for pt in pts:
@@ -305,7 +319,7 @@ def test_mixture_round_trip():
         ]
     }
     d1 = specio.spec_from_dict(doc)
-    d2 = specio.spec_from_dict(specio.spec_to_dict(d1))
+    d2 = specio.spec_from_dict(d1.spec_dict())
     xs = np.linspace(0, 8, 50)
     assert np.array_equal(d1.cdf(xs), d2.cdf(xs))
 

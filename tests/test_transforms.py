@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stieltjes import dist_model as dm
 from stieltjes import transforms as tr
@@ -215,6 +217,10 @@ def _catalog_for_identity():
         (dm.make_catalog("moran-downton", {"r": 0.5}), 2),
         (dm.make_catalog("bivariate-gamma", {"r": 0.3, "q": 2.0}), 2),
         (dm.make_catalog("blm", {"theta": 3.0, "f_lambda": 2.0, "g_lambda": 2.0}), 2),
+        (dm.make_catalog("product-exponential", {"lambda1": 1, "lambda2": 2, "lambda3": 3}), 3),
+        (dm.make_catalog("product-exponential",
+                         {"lambda1": 1, "lambda2": 2, "lambda3": 3, "lambda4": 4}), 4),
+        (dm.make_catalog("trivariate-gamma", {"alpha": 1.0, "a": 0.5, "b": 0.5}), 3),
     ]
 
 
@@ -225,17 +231,15 @@ def test_identity_invariance_across_routes():
         for _ in range(n_vec):
             svec = rng.uniform(0.1, 10.0, size=dim)
             tol = 1e-8
-            routes = [tr.ls_carson(dist, svec, tol=tol)]
-            if dim == 1:
-                if dist.has_density:
-                    routes.append(tr.ls_direct(dist, svec[0], tol))
-                routes.append(tr.transform_value(dist, svec, route="survival", tol=tol))
-                if dist.closed_ls(svec[0]) is not None:
-                    routes.append(tr.closed_form_ls(dist, svec))
-            else:
-                routes.append(tr.ls_survival_route(dist, svec[0], svec[1], tol))
-                if dist.closed_ls(svec) is not None:
-                    routes.append(tr.closed_form_ls(dist, svec))
+            surv = tr.ls_survival_route(dist, *svec, tol=tol)
+            routes = [tr.ls_carson(dist, svec, tol=tol), surv]
+            if dim == 1 and dist.has_density:
+                routes.append(tr.ls_direct(dist, svec[0], tol))
+            if tr.resolve_route(dist, svec, "auto") == "closed_form":
+                closed = tr.closed_form_ls(dist, svec)
+                routes.append(closed)
+                sgap = abs(surv.value - closed.value)
+                assert sgap <= surv.est_error + closed.est_error, (dist, svec, sgap)
             vals = [r.value for r in routes]
             allowed = 10.0 * sum(r.est_error for r in routes) + 1e-12
             gap = max(abs(a - b) for a in vals for b in vals)
@@ -254,6 +258,31 @@ def test_identity_invariance_trivariate():
             carson = tr.ls_carson(dist, svec, tol=1e-6)
             allowed = 10.0 * (closed.est_error + carson.est_error) + 1e-12
             assert abs(closed.value - carson.value) <= allowed
+
+
+def _atom_gamma(w, loc, rate, q):
+    return dm.mixture([(w, dm.point_mass(loc)), (1.0 - w, dm.gamma_dist(rate, q))])
+
+
+_LAWS_1D = st.one_of(
+    st.builds(dm.exponential, st.floats(0.2, 5.0)),
+    st.builds(dm.gamma_dist, st.floats(0.2, 5.0), st.floats(0.3, 3.0)),
+    st.builds(dm.positive_stable, st.sampled_from([0.5, 0.7])),
+    st.builds(dm.point_mass, st.floats(0.0, 3.0)),
+    # a density with an x^{q-1} singularity at 0 next to an atom
+    st.builds(_atom_gamma, st.floats(0.1, 0.4), st.floats(0.2, 1.5),
+              st.floats(0.5, 2.0), st.sampled_from([0.3, 0.5])),
+)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True)
+@given(dist=_LAWS_1D, s=st.floats(0.1, 10.0),
+       route=st.sampled_from(["direct", "carson", "survival"]),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_est_error_bounds_the_error(dist, s, route, tol):
+    tv = tr.transform_value(dist, s, route=route, tol=tol)
+    closed = tr.closed_form_ls(dist, s)
+    assert abs(tv.value - closed.value) <= tv.est_error + closed.est_error
 
 
 def test_small_shape_gamma_series_corner():
@@ -342,10 +371,29 @@ def test_verify_identity_univariate():
 
 
 def test_verify_identity_product3():
-    pr = dm.ProductJoint([dm.exponential(1.0)] * 3)
-    rep = tr.verify_identity(pr, (1.0, 1.0, 1.0), tol=1e-6)
+    for n in (3, 4):
+        pr = dm.ProductJoint([dm.exponential(1.0)] * n)
+        rep = tr.verify_identity(pr, (1.0,) * n, tol=1e-6)
+        assert rep.passed and "survival" in rep.route_values
+        assert rep.expanded_gap <= 1e-6
+
+
+def test_verify_identity_integrates_the_survival_function_once(monkeypatch):
+    mo = dm.make_catalog("marshall-olkin", {"lambda1": 1, "lambda2": 2, "lambda12": 0.5})
+    calls = []
+    carson_integral = tr._carson_integral
+
+    def counted(dist, s_axes, tol, use_survival=False):
+        calls.append(use_survival)
+        return carson_integral(dist, s_axes, tol, use_survival=use_survival)
+
+    monkeypatch.setattr(tr, "_carson_integral", counted)
+    rep = tr.verify_identity(mo, (2.0, 3.0), tol=1e-6)
     assert rep.passed
-    assert rep.expanded_gap <= 1e-6
+    assert calls.count(True) == 1
+    routes = rep.route_values
+    gap = abs(routes["closed_form"].value - routes["survival"].value)
+    assert abs(rep.expanded_gap - gap) <= 1e-15
 
 
 def test_verify_identity_marshall_olkin():
