@@ -72,10 +72,11 @@ def _grid_from_flag(name: str) -> MuntzSequence:
         return MuntzSequence.integers()
     if name.startswith("file:"):
         path = name[5:]
-        if not os.path.exists(path):
-            raise UsageError(f"grid file not found: {path}")
-        with open(path, "r", encoding="utf-8") as fh:
-            vals = [float(v) for v in fh.read().split()]
+        try:
+            with open(path, "r", encoding="utf-8") as fh:
+                vals = [float(v) for v in fh.read().split()]
+        except (OSError, ValueError) as exc:
+            raise UsageError(f"could not read grid file {path}: {exc}")
         return MuntzSequence.custom(vals)
     raise UsageError(f"unknown grid {name!r}; use primes, integers, or file:PATH")
 
@@ -121,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x", type=float, required=True)
     p.add_argument("--n", type=int, required=True, help="inversion order")
     p.add_argument("--precision-bits", type=int,
-                   default=int(os.environ.get(ENV_PRECISION, "128")))
+                   help=f"working-precision floor (default ${ENV_PRECISION}, else 128)")
 
     p = sub.add_parser("muntz", help="emit (n, bound, sampled_sup) rows")
     common(p, spec=False, tol=False)
@@ -150,6 +151,22 @@ def build_parser() -> argparse.ArgumentParser:
     common(p, spec=False, tol=False)
 
     return parser
+
+
+def _precision_bits(args) -> int:
+    """--precision-bits, else $STIELTJES_PRECISION_BITS, else 128; read by
+    invert alone, so a bad value fails no other subcommand."""
+    if args.precision_bits is not None:
+        name, text = "--precision-bits", str(args.precision_bits)
+    else:
+        name, text = ENV_PRECISION, os.environ.get(ENV_PRECISION, "128")
+    try:
+        bits = int(text)
+    except ValueError:
+        bits = 0
+    if bits < 1:
+        raise UsageError(f"{name} must be a positive integer, got {text!r}")
+    return bits
 
 
 def _single_spec(args):
@@ -183,7 +200,7 @@ def _cmd_invert(args) -> None:
         raise UsageError("x must be positive and finite")
     if args.n < 1:
         raise UsageError("n must be >= 1")
-    oracle = oracle_from_distribution(dist, precision_bits=args.precision_bits)
+    oracle = oracle_from_distribution(dist, precision_bits=_precision_bits(args))
     diag: dict = {}
     density = post_widder_density(oracle, args.x, args.n)
     cdf = feller_cdf(oracle, args.x, args.n, diag)

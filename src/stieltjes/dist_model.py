@@ -6,17 +6,22 @@ Freund, Moran-Downton, bivariate lack-of-memory (with its singular diagonal),
 and bivariate/trivariate Gamma series families.  Every law exposes CDF,
 survival, and marginals of every order; catalog entries also carry their
 closed-form Laplace-Stieltjes transform.
+
+scipy is imported by the kernels that call it, the first time one is
+evaluated, never at import or law construction: the import is most of a
+one-shot CLI process, and most commands never evaluate a Gamma-family or
+stable kernel.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.special import gammainc, gammaincc, gammaln
 
 from .errors import (
     MissingMarginal,
@@ -28,6 +33,14 @@ from .errors import (
 _MASS_TOL = 1e-12
 # pointwise sums of products hold at most this many term values at once
 _TERM_BLOCK = 1 << 20
+
+
+@functools.cache
+def _special():
+    """scipy.special, imported by the first kernel that calls it."""
+    import scipy.special
+
+    return scipy.special
 
 
 def _exp_em1ratio(u, c, t):
@@ -197,12 +210,15 @@ def gamma_dist(lam: float, q: float) -> Distribution1D:
     if q <= 0:
         raise ParameterOutOfRange("gamma: shape q must be > 0")
     lam, q = float(lam), float(q)
-    lognorm = q * math.log(lam) - gammaln(q)
+
+    @functools.cache
+    def lognorm():
+        return q * math.log(lam) - _special().gammaln(q)
 
     def density(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logd = lognorm + (q - 1.0) * np.log(x) - lam * x
+            logd = lognorm() + (q - 1.0) * np.log(x) - lam * x
             out = np.where(x > 0, np.exp(logd), 0.0)
         return out
 
@@ -215,7 +231,7 @@ def gamma_dist(lam: float, q: float) -> Distribution1D:
     return Distribution1D(
         ac_weight=1.0,
         ac_density=density,
-        ac_cdf=lambda x: gammainc(q, lam * np.asarray(x, dtype=float)),
+        ac_cdf=lambda x: _special().gammainc(q, lam * np.asarray(x, dtype=float)),
         transform_terms=[("gamma", 1.0, lam, q)],
         catalog_id="gamma",
         params={"lambda": lam, "q": q},
@@ -247,6 +263,7 @@ def positive_stable_density(alpha: float, x: float, terms: int) -> StableDensity
         raise ParameterOutOfRange("positive-stable density: x must be > 0")
     if terms < 1:
         raise ParameterOutOfRange("positive-stable density: terms must be >= 1")
+    gammaln = _special().gammaln
 
     def term_parts(k: int):
         """Signed term and its sine-free magnitude envelope."""
@@ -289,14 +306,13 @@ def positive_stable(alpha: float) -> Distribution1D:
     """Positive stable law with transform exp(-s^alpha).
 
     alpha = 1/2 uses the closed-form (Levy) density and CDF; other alphas
-    delegate density/CDF evaluation to scipy's stable implementation.
+    delegate density/CDF evaluation to scipy's stable implementation, built
+    on the first evaluation.
     """
     if not 0 < alpha < 1:
         raise ParameterOutOfRange("positive-stable: alpha must lie in (0, 1)")
     alpha = float(alpha)
     if alpha == 0.5:
-        from scipy.special import erfc
-
         def density(x):
             x = np.asarray(x, dtype=float)
             with np.errstate(divide="ignore", invalid="ignore"):
@@ -310,21 +326,24 @@ def positive_stable(alpha: float) -> Distribution1D:
         def cdf(x):
             x = np.asarray(x, dtype=float)
             with np.errstate(divide="ignore"):
-                out = np.where(x > 0, erfc(0.5 / np.sqrt(np.maximum(x, 1e-300))), 0.0)
+                out = np.where(x > 0, _special().erfc(0.5 / np.sqrt(np.maximum(x, 1e-300))), 0.0)
             return out
     else:
-        from scipy.stats import levy_stable
-
         scale = math.cos(math.pi * alpha / 2.0) ** (1.0 / alpha)
-        frozen = levy_stable(alpha, 1.0, loc=0.0, scale=scale)
+
+        @functools.cache
+        def frozen():
+            from scipy.stats import levy_stable
+
+            return levy_stable(alpha, 1.0, loc=0.0, scale=scale)
 
         def density(x):
             x = np.asarray(x, dtype=float)
-            return np.where(x > 0, frozen.pdf(np.maximum(x, 1e-300)), 0.0)
+            return np.where(x > 0, frozen().pdf(np.maximum(x, 1e-300)), 0.0)
 
         def cdf(x):
             x = np.asarray(x, dtype=float)
-            return np.where(x > 0, frozen.cdf(np.maximum(x, 1e-300)), 0.0)
+            return np.where(x > 0, frozen().cdf(np.maximum(x, 1e-300)), 0.0)
 
     return Distribution1D(
         ac_weight=1.0,
@@ -774,7 +793,7 @@ def _gamma_table(shapes, rate, x, upper=False):
     """Regularized incomplete Gamma P(a, rate*x) (Q when `upper`) for each
     shape a; shape (len(shapes),) + x.shape.  Each distinct shape is
     evaluated once."""
-    fn = gammaincc if upper else gammainc
+    fn = _special().gammaincc if upper else _special().gammainc
     uniq, inv = np.unique(shapes, return_inverse=True)
     x = np.asarray(x, dtype=float)
     return fn(uniq.reshape((-1,) + (1,) * x.ndim), rate * x)[inv]
@@ -788,7 +807,8 @@ class GammaSeriesJoint(JointDist):
     """
 
     def __init__(self, coeffs, shapes, rates, tail, kind, params):
-        self.coeffs = np.asarray(coeffs, dtype=float)
+        if coeffs is not None:  # None: the subclass makes them on first use
+            self.coeffs = np.asarray(coeffs, dtype=float)
         self.shapes = np.asarray(shapes, dtype=float)  # (dim, terms)
         self.rates = np.asarray(rates, dtype=float)    # (dim,)
         self.dim = len(self.rates)
@@ -920,6 +940,33 @@ def bivariate_gamma(r: float, q: float) -> GammaSeriesJoint:
 _TRIGAMMA_ORDER = 60
 
 
+class _TrivariateGammaJoint(GammaSeriesJoint):
+    """Trivariate Gamma; the coefficients c_{n, ell} split each series row
+    total over ell with scipy's gammaln, so they are made on first use."""
+
+    def __init__(self, row_totals, u, v, shapes, tail, params):
+        self._rows = (row_totals, u, v)
+        super().__init__(None, shapes, np.ones(3), tail, "trivariate-gamma", params)
+
+    @functools.cached_property
+    def coeffs(self):
+        gammaln = _special().gammaln
+        row_totals, u, v = self._rows
+        rows = []
+        for n, row_total in enumerate(row_totals):
+            # binomial split of row_total over ell: C(n,l) u^l v^(n-l) / (u+v)^n
+            ell = np.arange(n + 1)
+            logw = (
+                gammaln(n + 1)
+                - gammaln(ell + 1)
+                - gammaln(n - ell + 1)
+                + ell * math.log(u)
+                + (n - ell) * math.log(v)
+            )
+            rows.append(row_total / (u + v) ** n * np.exp(logw))
+        return np.concatenate(rows)
+
+
 def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
     """Trivariate Gamma family: the double series sum_{n, ell} c_{n, ell}
     Gamma(alpha + ell) x Gamma(alpha + n) x Gamma(alpha + n - ell), rate 1."""
@@ -930,25 +977,15 @@ def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
     alpha, a, b = float(alpha), float(a), float(b)
     u, v = a * a, b * b
     pref = (1.0 - u - v) ** alpha
-    rows = []
+    row_totals = []
     row_total = pref  # n = 0 row
     n = 0
     while n <= _TRIGAMMA_ORDER:
-        # binomial split of row_total over ell: C(n,l) u^l v^(n-l) / (u+v)^n
-        ell = np.arange(n + 1)
-        logw = (
-            gammaln(n + 1)
-            - gammaln(ell + 1)
-            - gammaln(n - ell + 1)
-            + ell * math.log(u)
-            + (n - ell) * math.log(v)
-        )
-        rows.append(row_total / (u + v) ** n * np.exp(logw))
+        row_totals.append(row_total)
         row_total *= (n + alpha) / (n + 1.0) * (u + v)
-        if row_total < 1e-14 and n >= 2:
-            n += 1
-            break
         n += 1
+        if row_total < 1e-14 and n >= 3:
+            break
     ratio_sup = (u + v) * max(1.0, (n + alpha) / (n + 1.0))
     tail = _geometric_tail(row_total, ratio_sup)
     if tail > 1e-10:
@@ -956,12 +993,12 @@ def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
             "trivariate-gamma: series tail bound exceeds 1e-10 at the "
             f"truncation order {_TRIGAMMA_ORDER}; a^2+b^2 = {u + v:.4g} is too large"
         )
-    # term c_{n, ell} = rows[n][ell] has shapes alpha + (ell, n, n - ell)
-    n_idx = np.concatenate([np.full(k + 1, k) for k in range(len(rows))])
-    ell_idx = np.concatenate([np.arange(k + 1) for k in range(len(rows))])
-    return GammaSeriesJoint(
-        np.concatenate(rows), alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx]),
-        np.ones(3), tail, "trivariate-gamma", {"alpha": alpha, "a": a, "b": b},
+    # term c_{n, ell} has shapes alpha + (ell, n, n - ell)
+    n_idx = np.concatenate([np.full(k + 1, k) for k in range(n)])
+    ell_idx = np.concatenate([np.arange(k + 1) for k in range(n)])
+    return _TrivariateGammaJoint(
+        row_totals, u, v, alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx]),
+        tail, {"alpha": alpha, "a": a, "b": b},
     )
 
 

@@ -63,6 +63,8 @@ class MuntzSequence:
             if values is None:
                 raise ParameterOutOfRange("custom sequence needs values")
             vals = [float(v) for v in values]
+            if not all(math.isfinite(v) for v in vals):
+                raise ParameterOutOfRange("sequence values must be finite")
             if any(v <= 0 for v in vals):
                 raise ParameterOutOfRange("sequence values must be positive")
             if any(b <= a for a, b in zip(vals, vals[1:])):

@@ -137,6 +137,21 @@ def test_precision_bits_env(capsys, monkeypatch):
     assert json.loads(out)["precision_bits"] == 2048
 
 
+@pytest.mark.parametrize("value", ["abc", "0", "-3"])
+def test_bad_precision_bits_env_fails_invert_only(capsys, monkeypatch, value):
+    monkeypatch.setenv("STIELTJES_PRECISION_BITS", value)
+    code, _, _ = run(capsys, "catalog")
+    assert code == 0
+    code, _, err = run(capsys, "invert", "--spec", EXP_SPEC, "--x", "1", "--n", "4")
+    assert code == 2 and "STIELTJES_PRECISION_BITS must be a positive integer" in err
+
+
+def test_non_positive_precision_bits_flag(capsys):
+    code, _, err = run(capsys, "invert", "--spec", EXP_SPEC, "--x", "1", "--n", "4",
+                       "--precision-bits", "-5")
+    assert code == 2 and "--precision-bits must be a positive integer" in err
+
+
 # ---------------------------------------------------------------------------
 # muntz / fingerprint / compare / verify-identity / catalog
 
@@ -161,6 +176,19 @@ def test_muntz_custom_grid_file(tmp_path, capsys):
     assert code == 0
     doc = json.loads(out)
     assert len(doc["rows"]) == 3
+
+
+@pytest.mark.parametrize("text, message", [
+    ("1 2 nan", "finite"),
+    ("1 2 inf", "finite"),
+    ("x", "could not read grid file"),
+])
+def test_muntz_bad_grid_file(tmp_path, capsys, text, message):
+    p = tmp_path / "grid.txt"
+    p.write_text(text)
+    code, out, err = run(capsys, "muntz", "--grid", f"file:{p}", "--len", "3")
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_fingerprint_doc(capsys):

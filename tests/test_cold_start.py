@@ -1,0 +1,92 @@
+"""scipy is imported by the first Gamma-family or stable kernel evaluation,
+never by importing the package, building a law, closed forms, Muntz work or
+inversion.  Each case runs in a fresh interpreter so sys.modules is clean."""
+
+import json
+import os
+import subprocess
+import sys
+import textwrap
+
+SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+PRELUDE = """
+import contextlib, io, json, sys
+import stieltjes
+from stieltjes import dist_model as dm
+from stieltjes.cli import main
+
+def cli(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(list(argv)) == 0, argv
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+"""
+
+
+def _run(body: str) -> dict:
+    path = os.pathsep.join(p for p in (SRC, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", PRELUDE + textwrap.dedent(body)],
+        env=dict(os.environ, PYTHONPATH=path), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_import_construction_and_scipy_free_commands_never_load_scipy():
+    doc = _run("""
+        EXAMPLES = {
+            "exponential": {"lambda": 1.0},
+            "gamma": {"lambda": 2.0, "q": 0.5},
+            "positive-stable": {"alpha": 0.7},
+            "point-mass": {"location": 1.0},
+            "marshall-olkin": {"lambda1": 1.0, "lambda2": 2.0, "lambda12": 0.5},
+            "freund": {"alpha": 1.0, "alpha_prime": 2.0, "beta": 1.5, "beta_prime": 0.5},
+            "moran-downton": {"r": 0.4},
+            "bivariate-gamma": {"r": 0.3, "q": 2.0},
+            "trivariate-gamma": {"alpha": 1.5, "a": 0.4, "b": 0.5},
+            "blm": {"theta": 2.0, "f_lambda": 1.5, "g_lambda": 1.0},
+            "product-exponential": {"lambda1": 1.0, "lambda2": 2.0},
+        }
+        assert set(EXAMPLES) == set(dm.catalog_names())
+        for kind, params in EXAMPLES.items():
+            dm.make_catalog(kind, params)
+        dm.positive_stable(0.5)
+
+        def spec(kind):
+            return json.dumps({"kind": kind, "params": EXAMPLES[kind]})
+
+        exp2 = json.dumps({"kind": "exponential", "params": {"lambda": 2.0}})
+        gamma_mix = json.dumps({"mixture": [
+            {"weight": 0.4, "spec": json.loads(spec("gamma"))},
+            {"weight": 0.6, "spec": {"kind": "gamma", "params": {"lambda": 1.0, "q": 3.0}}},
+        ]})
+        cli("catalog")
+        cli("transform", "--spec", spec("marshall-olkin"), "--s", "1,2", "--route", "carson")
+        cli("fingerprint", "--spec", spec("exponential"), "--len", "3")
+        cli("compare", "--spec", spec("exponential"), "--spec", exp2, "--len", "3")
+        cli("muntz", "--len", "3")
+        cli("invert", "--spec", gamma_mix, "--x", "1", "--n", "4")
+        cli("invert", "--spec", spec("positive-stable"), "--x", "1", "--n", "2")
+        from stieltjes.transforms import closed_form_ls
+        closed_form_ls(dm.positive_stable(0.7), [1.0])
+        print(json.dumps({"scipy": scipy_modules()}))
+    """)
+    assert doc["scipy"] == []
+
+
+def test_gamma_and_stable_evaluations_load_scipy():
+    doc = _run("""
+        before = scipy_modules()
+        dm.gamma_dist(2.0, 0.5).cdf(1.0)
+        after_gamma = scipy_modules()
+        dm.positive_stable(0.7).cdf(1.0)
+        print(json.dumps({"before": before, "gamma": after_gamma,
+                          "stable": scipy_modules()}))
+    """)
+    assert doc["before"] == []
+    assert "scipy.special" in doc["gamma"] and "scipy.stats" not in doc["gamma"]
+    assert "scipy.stats" in doc["stable"]

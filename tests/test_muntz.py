@@ -34,6 +34,13 @@ def test_sequence_kinds():
         mu.MuntzSequence.custom([-1.0, 2.0])
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_custom_sequence_rejects_non_finite_values(bad):
+    # NaN slips past both the positivity and the ordering comparisons
+    with pytest.raises(ParameterOutOfRange, match="finite"):
+        mu.MuntzSequence.custom([1.0, 2.0, bad])
+
+
 def test_certificate_primes():
     c = mu.divergence_certificate(mu.MuntzSequence.primes(), 100)
     assert c.certified

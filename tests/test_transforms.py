@@ -285,6 +285,33 @@ def test_est_error_bounds_the_error(dist, s, route, tol):
     assert abs(tv.value - closed.value) <= tv.est_error + closed.est_error
 
 
+def _blm(f_lambda, g_lambda, p):
+    # theta placing the diagonal mass p = (f + g)/theta - 1 in [0, 1]
+    theta = (f_lambda + g_lambda) / (1.0 + p)
+    return dm.BlmJoint(dm.BlmSpec(dm.exponential(f_lambda), dm.exponential(g_lambda), theta))
+
+
+_RATE = st.floats(0.2, 5.0)
+_LAWS_2D = st.one_of(
+    st.builds(dm.MarshallOlkinJoint, _RATE, _RATE, _RATE),
+    st.builds(dm.FreundJoint, _RATE, _RATE, _RATE, _RATE),
+    st.builds(_blm, _RATE, _RATE, st.floats(0.0, 1.0)),
+    st.builds(dm.moran_downton, st.floats(0.0, 0.9)),
+    st.builds(dm.bivariate_gamma, st.floats(0.0, 0.9), st.floats(0.3, 3.0)),
+)
+_LOG_UNIFORM_S = st.floats(math.log(0.02), math.log(50.0)).map(math.exp)
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(dist=_LAWS_2D, s=st.tuples(_LOG_UNIFORM_S, _LOG_UNIFORM_S),
+       route=st.sampled_from(["carson", "survival"]),
+       tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+def test_joint_est_error_bounds_the_error(dist, s, route, tol):
+    tv = tr.transform_value(dist, s, route=route, tol=tol)
+    closed = tr.closed_form_ls(dist, s)
+    assert abs(tv.value - closed.value) <= tv.est_error + closed.est_error
+
+
 def test_small_shape_gamma_series_corner():
     # shapes below 1 give the CDF an infinite-slope corner at the origin;
     # the tensor quadrature must deepen panels there, not blow its budget
