@@ -1,6 +1,7 @@
-"""scipy is imported by the first Gamma-family or stable kernel evaluation,
-never by importing the package, building a law, closed forms, Muntz work or
-inversion.  Each case runs in a fresh interpreter so sys.modules is clean."""
+"""scipy is imported by the first Gamma-family or stable-(1/2) kernel
+evaluation, never by importing the package, building a law, closed forms,
+Muntz work, inversion or the positive-stable kernel of any other alpha.  Each
+case runs in a fresh interpreter so sys.modules is clean."""
 
 import json
 import os
@@ -73,6 +74,10 @@ def test_import_construction_and_scipy_free_commands_never_load_scipy():
         cli("invert", "--spec", spec("positive-stable"), "--x", "1", "--n", "2")
         from stieltjes.transforms import closed_form_ls
         closed_form_ls(dm.positive_stable(0.7), [1.0])
+        stable = dm.positive_stable(0.7)
+        stable.cdf([0.0, 0.5, 1.0, 10.0])
+        stable.density([0.5, 1.0, 10.0])
+        dm.positive_stable_density(0.7, 2.0, 80)
         print(json.dumps({"scipy": scipy_modules()}))
     """)
     assert doc["scipy"] == []
@@ -83,10 +88,11 @@ def test_gamma_and_stable_evaluations_load_scipy():
         before = scipy_modules()
         dm.gamma_dist(2.0, 0.5).cdf(1.0)
         after_gamma = scipy_modules()
-        dm.positive_stable(0.7).cdf(1.0)
+        dm.positive_stable(0.5).cdf(1.0)
         print(json.dumps({"before": before, "gamma": after_gamma,
                           "stable": scipy_modules()}))
     """)
     assert doc["before"] == []
     assert "scipy.special" in doc["gamma"] and "scipy.stats" not in doc["gamma"]
-    assert "scipy.stats" in doc["stable"]
+    # the Levy closed form's erfc; no kernel loads scipy.stats
+    assert "scipy.special" in doc["stable"] and "scipy.stats" not in doc["stable"]

@@ -1,5 +1,7 @@
 import math
+import warnings
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -162,6 +164,57 @@ def test_stable_dist_scipy_matches_series():
     st_dist = dm.positive_stable(0.7)
     series = dm.positive_stable_density(0.7, 2.0, 80)
     assert abs(st_dist.density(2.0) - series.value) <= 1e-7
+
+
+# lower end of the log grid per alpha: below it the values are so small that
+# Talbot inversion at 40 digits no longer resolves them
+_TALBOT_GRID_LO = {0.1: 1e-12, 0.3: 1e-3, 0.5: 0.05, 0.7: 0.2, 0.9: 0.6, 0.95: 0.8}
+
+
+@pytest.mark.parametrize("alpha", sorted(_TALBOT_GRID_LO))
+def test_stable_kernel_matches_talbot_inversion(alpha):
+    xs = np.geomspace(_TALBOT_GRID_LO[alpha], 1e4, 8)
+    cdf, pdf = dm._positive_stable_kernel(alpha, xs)
+    with mpmath.workdps(40):
+        for x, c, d in zip(xs, cdf, pdf):
+            ref_c = float(mpmath.invertlaplace(
+                lambda s: mpmath.exp(-s**alpha) / s, x, method="talbot"))
+            ref_d = float(mpmath.invertlaplace(
+                lambda s: mpmath.exp(-s**alpha), x, method="talbot"))
+            assert abs(c - ref_c) <= 1e-14, (x, c, ref_c)
+            if ref_d >= 1e-12:
+                assert abs(d - ref_d) <= 1e-12 * ref_d, (x, d, ref_d)
+
+
+def test_stable_kernel_matches_levy_closed_form():
+    xs = np.geomspace(1e-3, 1e8, 60)
+    cdf, pdf = dm._positive_stable_kernel(0.5, xs)
+    for x, c, d in zip(xs, cdf, pdf):
+        ref_d = x**-1.5 * math.exp(-0.25 / x) / (2.0 * math.sqrt(math.pi))
+        assert abs(c - math.erfc(0.5 / math.sqrt(x))) <= 1e-14, x
+        if ref_d >= 1e-12:
+            assert abs(d - ref_d) <= 1e-12 * ref_d, x
+
+
+def test_stable_kernel_edges_are_quiet_limits():
+    xs = np.array([0.0, 5e-324, 1e-300, 1e-30, 1.0, 1e300, np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for alpha in (0.1, 0.5, 0.7, 0.95, 0.999):
+            cdf, pdf = dm._positive_stable_kernel(alpha, xs)
+            assert np.all((cdf >= 0.0) & (cdf <= 1.0)) and np.all(pdf >= 0.0)
+            assert cdf[0] == pdf[0] == pdf[-1] == 0.0 and cdf[-1] == 1.0
+            assert np.all(np.diff(cdf) >= 0.0)
+        law = dm.positive_stable(0.7)
+        assert law.cdf(0.0) == 0.0 and law.survival(np.inf) == 0.0
+        assert np.array_equal(law.density(xs), dm._positive_stable_kernel(0.7, xs)[1])
+
+
+def test_stable_tail_near_alpha_one():
+    # references: Pollard's series summed at 50 digits
+    assert math.isclose(dm.positive_stable(0.95).survival(150.0),
+                        4.4338779910682435e-4, rel_tol=1e-12)
+    assert abs(dm.positive_stable(0.9).cdf(1084.0) - 0.99980465541100105) <= 1e-15
 
 
 # ---------------------------------------------------------------------------

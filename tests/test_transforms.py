@@ -285,6 +285,19 @@ def test_est_error_bounds_the_error(dist, s, route, tol):
     assert abs(tv.value - closed.value) <= tv.est_error + closed.est_error
 
 
+@pytest.mark.parametrize("alpha", [0.3, 0.7, 0.9, 0.95])
+def test_stable_routes_within_bound(alpha):
+    # at alpha >= 0.9 a CDF that saturates early in the tail (1 - F(150) is
+    # 4.4e-4 at alpha = 0.95) breaks the survival route's bound
+    dist = dm.positive_stable(alpha)
+    for s in (0.1, 0.5, 2.0):
+        closed = tr.closed_form_ls(dist, s)
+        for route in ("direct", "carson", "survival"):
+            tv = tr.transform_value(dist, s, route=route, tol=1e-8)
+            gap = abs(tv.value - closed.value)
+            assert gap <= tv.est_error + closed.est_error, (alpha, s, route, gap, tv.est_error)
+
+
 def _blm(f_lambda, g_lambda, p):
     # theta placing the diagonal mass p = (f + g)/theta - 1 in [0, 1]
     theta = (f_lambda + g_lambda) / (1.0 + p)
