@@ -9,11 +9,12 @@ closed-form Laplace-Stieltjes transform.
 
 The positive stable law exp(-s^alpha) has its own kernel for the CDF and
 density: Pollard's convergent series in the tail and Kanter's integral over
-[0, pi] elsewhere, to about 1e-16 absolute in the CDF.  scipy is imported
-by the kernels that call it (Gamma-family laws and the stable-(1/2) CDF), the
-first time one is evaluated, never at import or law construction: the
-import is most of a one-shot CLI process, and most commands never evaluate
-such a kernel.
+[0, pi] elsewhere, to about 1e-16 absolute in the CDF.  The Gamma laws and
+the Gamma-series families share one regularized incomplete-Gamma kernel,
+`_gamma_table`: each shape a = f + m, f in (0, 1], takes one evaluation of
+P(f, z) and Q(f, z) and m steps of the recurrence P(a + 1) = P(a) - d(a),
+to about 1e-15 absolute.  Neither kernel needs scipy, which the library
+never imports.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from ._quadrature import NODES, W_GAUSS, W_KRONROD
 from .errors import (
     MissingMarginal,
     ParameterOutOfRange,
+    PrecisionExhausted,
     SeriesDiverged,
     UnknownCatalogName,
 )
@@ -37,14 +39,6 @@ from .errors import (
 _MASS_TOL = 1e-12
 # pointwise sums of products hold at most this many term values at once
 _TERM_BLOCK = 1 << 20
-
-
-@functools.cache
-def _special():
-    """scipy.special, imported by the first kernel that calls it."""
-    import scipy.special
-
-    return scipy.special
 
 
 def _exp_em1ratio(u, c, t):
@@ -67,6 +61,164 @@ def _exp_em1ratio(u, c, t):
     if out.ndim == 0:
         return float(out)
     return out
+
+
+# ---------------------------------------------------------------------------
+# Regularized incomplete Gamma kernel
+
+# P(f, z), f in (0, 1], from the power series below z = _GAMMA_SPLIT, with
+# terms k = 1..17 + 4 max(z), whose tail is then under 1e-17 of the sum;
+# Q(f, z) from a _LAGUERRE_NODES-point Gauss-Laguerre rule above it, within
+# 3e-15 relative where Q < 3e-3
+_GAMMA_SPLIT = 6.0
+_GAMMA_SERIES = np.arange(1.0, 42.0)
+_LAGUERRE_NODES = 20
+# z - a - a log(z/a) from a series where |z/a - 1| < _GAMMA_NEAR, since there
+# the two sides cancel
+_GAMMA_NEAR = 0.3
+# a^a e^-a / Gamma(a + 1) from Stirling's series for log Gamma*(a) (seven
+# terms, within 8e-16) at a >= _STIRLING_MIN and as a^(a-1) e^-a / Gamma(a)
+# below: the series is 2e-11 off at a = 5, and exp(a log a - a - lgamma(a+1))
+# is 3e-14 off at a = 40
+_STIRLING_MIN = 10.0
+_STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
+# beyond this z every P is 1, Q is 0 and d is 0 in double precision
+_GAMMA_Z_MAX = 1e300
+
+
+@functools.cache
+def _laguerre():
+    return np.polynomial.laguerre.laggauss(_LAGUERRE_NODES)
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_series(f: float):
+    """1/Gamma(f + 1) and the power-series coefficients 1/((f+1)...(f+k))."""
+    coeffs = 1.0 / np.cumprod(f + _GAMMA_SERIES)
+    coeffs.setflags(write=False)
+    return 1.0 / math.gamma(f + 1.0), coeffs
+
+
+@functools.lru_cache(maxsize=64)
+def _gamma_scales(f: float, lo: int, hi: int):
+    """a^a e^-a / Gamma(a + 1) = 1 / (sqrt(2 pi a) Gamma*(a)) at the shapes
+    a = f + k, lo <= k < hi."""
+    a = f + np.arange(lo, hi)
+    small = a < _STIRLING_MIN
+    out = np.empty(a.size)
+    out[small] = [v ** (v - 1.0) * math.exp(-v) / math.gamma(v) for v in a[small]]
+    big = a[~small]
+    inv = 1.0 / (big * big)
+    log_star = 0.0
+    for c in reversed(_STIRLING):
+        log_star = log_star * inv + c
+    out[~small] = np.exp(-log_star / big) / np.sqrt(2.0 * math.pi * big)
+    out.setflags(write=False)
+    return out
+
+
+def _gamma_d(f, lo, hi, z):
+    """d(a, z) = z^a e^-z / Gamma(a + 1) at a = f + k, lo <= k < hi, and
+    flat z; shape (hi - lo, z.size).
+
+    d = e^-t a^a e^-a / Gamma(a + 1) with t = z - a - a log(z/a).  Where
+    |y| < _GAMMA_NEAR, y = (z - a)/a, t is a (y - log1p(y)) summed as
+    a w (y - 2 w^2 (1/3 + w^2/5 + ...)), w = y/(2 + y), so that no rounding
+    of order a eps enters the exponent.  Elsewhere either a is small or
+    t >= 0.037 a makes d negligible, so log z - log a is rounded harmlessly.
+    """
+    a = (f + np.arange(lo, hi))[:, None]
+    dz = z - a
+    y = dz / a
+    with np.errstate(divide="ignore"):
+        t = dz - a * (np.log(z) - np.log(a))
+    near = np.abs(y) < _GAMMA_NEAR
+    if near.any():
+        yn = y[near]
+        w = yn / (2.0 + yn)
+        w2 = w * w
+        s = 0.0
+        for j in range(12, 0, -1):  # w^2 < 0.031: the first term left out is < 1e-19
+            s = s * w2 + 1.0 / (2 * j + 1)
+        t[near] = np.broadcast_to(a, t.shape)[near] * w * (yn - 2.0 * w2 * s)
+    return _gamma_scales(f, lo, hi)[:, None] * np.exp(-t)
+
+
+def _gamma_pq(f, z):
+    """P(f, z) and Q(f, z) for f in (0, 1] and flat z in [0, _GAMMA_Z_MAX]."""
+    if f == 1.0:
+        return -np.expm1(-z), np.exp(-z)
+    scale, coeffs = _gamma_series(f)  # d(f, z) = scale z^f e^-z
+
+    def p_series(z, z_max):  # P = d (1 + z/(f+1) + z^2/((f+1)(f+2)) + ...)
+        k = int(17.0 + 4.0 * z_max) + 1
+        return scale * z**f * np.exp(-z) * (1.0 + (z[:, None] ** _GAMMA_SERIES[:k]) @ coeffs[:k])
+
+    def q_laguerre(z):  # Q = (f d / z) int_0^inf e^-u (1 + u/z)^(f - 1) du
+        u, w = _laguerre()
+        tail = (1.0 + u / z[:, None]) ** (f - 1.0) @ w
+        return (f * scale) * z ** (f - 1.0) * np.exp(-z) * tail
+
+    # when every point lies on one side of the split, as on most quadrature
+    # panels, only one side is evaluated
+    z_max = z.max(initial=0.0)  # NaN when z holds one: the mixed case below
+    if z_max < _GAMMA_SPLIT:
+        p = p_series(z, z_max)
+        return p, 1.0 - p
+    if z.min() >= _GAMMA_SPLIT:
+        q = q_laguerre(z)
+        return 1.0 - q, q
+    lo = z < _GAMMA_SPLIT
+    p = p_series(np.fmin(z, _GAMMA_SPLIT), _GAMMA_SPLIT)
+    q = q_laguerre(np.maximum(z, _GAMMA_SPLIT))
+    return np.where(lo, p, 1.0 - q), np.where(lo, 1.0 - p, q)
+
+
+def _gamma_rows(f, rows, z, upper=False):
+    """Regularized incomplete Gamma P(f + k, z) (Q when `upper`) at the
+    integer rows k >= 0, for f in (0, 1]; shape (len(rows),) + z.shape.
+
+    One base evaluation at f, then d(a) = z^a e^-z / Gamma(a + 1) per row:
+    P(a + 1) = P(a) - d(a) and Q(a + 1) = Q(a) + d(a), summed up the rows in
+    blocks of at most _TERM_BLOCK values.  z < 0 reads as 0.
+    """
+    top = int(max(rows))
+    shape = (len(rows),) + np.shape(z)
+    z = np.minimum(np.maximum(np.ravel(z), 0.0), _GAMMA_Z_MAX)
+    p, q = _gamma_pq(f, z)
+    acc = q if upper else p
+    if top == 0:
+        return acc[None].repeat(len(rows), axis=0).reshape(shape)
+    rows = np.asarray(rows)
+    out = np.empty((len(rows), z.size))
+    out[rows == 0] = acc
+    step = max(1, _TERM_BLOCK // max(1, z.size))
+    for lo in range(0, top, step):
+        hi = min(top, lo + step)
+        tab = np.cumsum(_gamma_d(f, lo, hi, z), axis=0)
+        tab = acc + tab if upper else acc - tab
+        sel = (rows > lo) & (rows <= hi)
+        out[sel] = tab[rows[sel] - lo - 1]
+        acc = tab[-1]
+    # the sums over rows may round a hair past 0 or 1
+    return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out).reshape(shape)
+
+
+def _gamma_table(shapes, rate, x, upper=False):
+    """Regularized incomplete Gamma P(a, rate*x) (Q when `upper`) for each
+    shape a; shape (len(shapes),) + x.shape.  Shapes whose fractional parts
+    agree to an ulp of the largest shape share one `_gamma_rows` call."""
+    z = rate * np.asarray(x, dtype=float)
+    uniq, inv = np.unique(shapes, return_inverse=True)
+    m = np.ceil(uniq) - 1.0
+    f = uniq - m
+    by_f = np.argsort(f)
+    split = np.flatnonzero(np.diff(f[by_f]) > np.spacing(uniq[-1])) + 1
+    out = np.empty((uniq.size,) + z.shape)
+    for grp in np.split(by_f, split):
+        # the smallest shape of the group carries the least rounding in f
+        out[grp] = _gamma_rows(float(f[grp.min()]), m[grp].astype(int), z, upper)
+    return out[inv]
 
 
 # ---------------------------------------------------------------------------
@@ -214,15 +366,13 @@ def gamma_dist(lam: float, q: float) -> Distribution1D:
     if q <= 0:
         raise ParameterOutOfRange("gamma: shape q must be > 0")
     lam, q = float(lam), float(q)
-
-    @functools.cache
-    def lognorm():
-        return q * math.log(lam) - _special().gammaln(q)
+    lognorm = q * math.log(lam) - math.lgamma(q)
+    m = math.ceil(q) - 1
 
     def density(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
-            logd = lognorm() + (q - 1.0) * np.log(x) - lam * x
+            logd = lognorm + (q - 1.0) * np.log(x) - lam * x
             out = np.where(x > 0, np.exp(logd), 0.0)
         return out
 
@@ -235,7 +385,7 @@ def gamma_dist(lam: float, q: float) -> Distribution1D:
     return Distribution1D(
         ac_weight=1.0,
         ac_density=density,
-        ac_cdf=lambda x: _special().gammainc(q, lam * np.asarray(x, dtype=float)),
+        ac_cdf=lambda x: _gamma_rows(q - m, [m], lam * np.asarray(x, dtype=float))[0],
         transform_terms=[("gamma", 1.0, lam, q)],
         catalog_id="gamma",
         params={"lambda": lam, "q": q},
@@ -321,9 +471,13 @@ _STABLE_SPLIT = math.log(2.0)
 _KANTER_TOL = 1e-15
 _KANTER_RTOL = 1e-13
 _KANTER_FLOOR = 1e-30
-# panels on each part of the Kanter rule: first level, and the level at
-# which a point is taken as it stands
+# panels on each part of the Kanter rule: first level, and the last level
 _KANTER_PANELS = (4, 4096)
+# at the last level a point is taken once the gap of both integrals is below
+# this, else PrecisionExhausted is raised.  As alpha -> 1 the Gauss rule lags
+# the Kronrod one: at alpha = 0.9999 the Kronrod CDF is within 3e-16 where
+# the gap still reads up to 7e-13; at alpha = 0.99999, x = 1.3 it is 2e-11
+_KANTER_CAP_TOL = 1e-11
 # values held at once by one Kanter level (points x nodes)
 _KANTER_BLOCK = 1 << 18
 # Kanter integrands are dropped where A(u) z > e^_KANTER_CUT (e^-t < 1e-18)
@@ -424,8 +578,9 @@ def _positive_stable_kernel(alpha: float, x):
     exp(-A(u) z) du with z = x^(-alpha/(1 - alpha)) and density
     (alpha/(1 - alpha)) (1/x) (1/pi) int A z exp(-A z) du, on the rule of
     `_kanter_rule`; the panel count doubles for the points whose integrals
-    have not yet met their tolerances.  Works for any alpha in (0, 1),
-    including 1/2; x = 0 and x = inf give their limits.
+    have not yet met their tolerances, up to _KANTER_PANELS[1], where a
+    point that misses _KANTER_CAP_TOL raises PrecisionExhausted.  Works for
+    any alpha in (0, 1), including 1/2; x = 0 and x = inf give their limits.
     """
     x = np.asarray(x, dtype=float)
     flat = x.ravel()
@@ -463,7 +618,11 @@ def _positive_stable_kernel(alpha: float, x):
             done = ((np.abs(f_k - f_g) <= _KANTER_TOL)
                     & (np.abs(d_k - d_g) <= _KANTER_RTOL * d_k + floor))
             if panels >= _KANTER_PANELS[1]:
-                done[:] = True
+                done = np.maximum(np.abs(f_k - f_g), np.abs(d_k - d_g)) <= _KANTER_CAP_TOL
+                if not done.all():
+                    raise PrecisionExhausted(
+                        f"positive-stable: Kanter's integral at alpha={alpha!r} has not "
+                        f"converged on {panels} panels at x={float(flat[idx[~done][0]])!r}")
             cdf[idx[done]] = f_k[done]
             pdf[idx[done]] = d_k[done] / flat[idx[done]] * (alpha / (1.0 - alpha))
             left.append(idx[~done])
@@ -475,35 +634,19 @@ def _positive_stable_kernel(alpha: float, x):
 def positive_stable(alpha: float) -> Distribution1D:
     """Positive stable law with transform exp(-s^alpha).
 
-    alpha = 1/2 uses the closed-form (Levy) density and CDF.  Other alphas
-    use `_positive_stable_kernel`: Pollard's series where x^-alpha <= 1/2,
-    Kanter's integral elsewhere, with no scipy.
+    The CDF and density come from `_positive_stable_kernel` for every alpha,
+    1/2 included: Pollard's series where x^-alpha <= 1/2, Kanter's integral
+    elsewhere.
     """
     if not 0 < alpha < 1:
         raise ParameterOutOfRange("positive-stable: alpha must lie in (0, 1)")
     alpha = float(alpha)
-    if alpha == 0.5:
-        def density(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                out = np.where(
-                    x > 0,
-                    (4.0 * math.pi) ** -0.5 * x ** -1.5 * np.exp(-0.25 / np.maximum(x, 1e-300)),
-                    0.0,
-                )
-            return out
 
-        def cdf(x):
-            x = np.asarray(x, dtype=float)
-            with np.errstate(divide="ignore"):
-                out = np.where(x > 0, _special().erfc(0.5 / np.sqrt(np.maximum(x, 1e-300))), 0.0)
-            return out
-    else:
-        def density(x):
-            return _positive_stable_kernel(alpha, x)[1]
+    def density(x):
+        return _positive_stable_kernel(alpha, x)[1]
 
-        def cdf(x):
-            return _positive_stable_kernel(alpha, x)[0]
+    def cdf(x):
+        return _positive_stable_kernel(alpha, x)[0]
 
     return Distribution1D(
         ac_weight=1.0,
@@ -949,16 +1092,6 @@ class BlmJoint(JointDist):
 # -- gamma series families ----------------------------------------------------
 
 
-def _gamma_table(shapes, rate, x, upper=False):
-    """Regularized incomplete Gamma P(a, rate*x) (Q when `upper`) for each
-    shape a; shape (len(shapes),) + x.shape.  Each distinct shape is
-    evaluated once."""
-    fn = _special().gammaincc if upper else _special().gammainc
-    uniq, inv = np.unique(shapes, return_inverse=True)
-    x = np.asarray(x, dtype=float)
-    return fn(uniq.reshape((-1,) + (1,) * x.ndim), rate * x)[inv]
-
-
 class GammaSeriesJoint(JointDist):
     """Law of the form sum_t c_t prod_i Gamma(shapes[i, t], rates[i]), all
     coefficients nonnegative and summing to 1 up to `series_tail`.  Covers
@@ -967,8 +1100,7 @@ class GammaSeriesJoint(JointDist):
     """
 
     def __init__(self, coeffs, shapes, rates, tail, kind, params):
-        if coeffs is not None:  # None: the subclass makes them on first use
-            self.coeffs = np.asarray(coeffs, dtype=float)
+        self.coeffs = np.asarray(coeffs, dtype=float)
         self.shapes = np.asarray(shapes, dtype=float)  # (dim, terms)
         self.rates = np.asarray(rates, dtype=float)    # (dim,)
         self.dim = len(self.rates)
@@ -1100,33 +1232,6 @@ def bivariate_gamma(r: float, q: float) -> GammaSeriesJoint:
 _TRIGAMMA_ORDER = 60
 
 
-class _TrivariateGammaJoint(GammaSeriesJoint):
-    """Trivariate Gamma; the coefficients c_{n, ell} split each series row
-    total over ell with scipy's gammaln, so they are made on first use."""
-
-    def __init__(self, row_totals, u, v, shapes, tail, params):
-        self._rows = (row_totals, u, v)
-        super().__init__(None, shapes, np.ones(3), tail, "trivariate-gamma", params)
-
-    @functools.cached_property
-    def coeffs(self):
-        gammaln = _special().gammaln
-        row_totals, u, v = self._rows
-        rows = []
-        for n, row_total in enumerate(row_totals):
-            # binomial split of row_total over ell: C(n,l) u^l v^(n-l) / (u+v)^n
-            ell = np.arange(n + 1)
-            logw = (
-                gammaln(n + 1)
-                - gammaln(ell + 1)
-                - gammaln(n - ell + 1)
-                + ell * math.log(u)
-                + (n - ell) * math.log(v)
-            )
-            rows.append(row_total / (u + v) ** n * np.exp(logw))
-        return np.concatenate(rows)
-
-
 def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
     """Trivariate Gamma family: the double series sum_{n, ell} c_{n, ell}
     Gamma(alpha + ell) x Gamma(alpha + n) x Gamma(alpha + n - ell), rate 1."""
@@ -1153,12 +1258,16 @@ def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
             "trivariate-gamma: series tail bound exceeds 1e-10 at the "
             f"truncation order {_TRIGAMMA_ORDER}; a^2+b^2 = {u + v:.4g} is too large"
         )
-    # term c_{n, ell} has shapes alpha + (ell, n, n - ell)
+    # term c_{n, ell} has shapes alpha + (ell, n, n - ell); it splits the row
+    # total binomially, C(n, ell) u^ell v^(n - ell) / (u + v)^n
+    pu, pv = u / (u + v), v / (u + v)
+    coeffs = [total * math.comb(k, ell) * pu**ell * pv**(k - ell)
+              for k, total in enumerate(row_totals) for ell in range(k + 1)]
     n_idx = np.concatenate([np.full(k + 1, k) for k in range(n)])
     ell_idx = np.concatenate([np.arange(k + 1) for k in range(n)])
-    return _TrivariateGammaJoint(
-        row_totals, u, v, alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx]),
-        tail, {"alpha": alpha, "a": a, "b": b},
+    return GammaSeriesJoint(
+        coeffs, alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx]), np.ones(3),
+        tail, "trivariate-gamma", {"alpha": alpha, "a": a, "b": b},
     )
 
 

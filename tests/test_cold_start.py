@@ -1,10 +1,10 @@
-"""scipy is imported by the first Gamma-family or stable-(1/2) kernel
-evaluation, never by importing the package, building a law, closed forms,
-Muntz work, inversion or the positive-stable kernel of any other alpha.  Each
-case runs in a fresh interpreter so sys.modules is clean."""
+"""The library never imports scipy: not at import, not when a law is built
+and not when any kernel is evaluated.  Each runtime case runs in a fresh
+interpreter so sys.modules is clean."""
 
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -83,16 +83,44 @@ def test_import_construction_and_scipy_free_commands_never_load_scipy():
     assert doc["scipy"] == []
 
 
-def test_gamma_and_stable_evaluations_load_scipy():
+def test_no_evaluation_loads_scipy():
     doc = _run("""
-        before = scipy_modules()
-        dm.gamma_dist(2.0, 0.5).cdf(1.0)
-        after_gamma = scipy_modules()
-        dm.positive_stable(0.5).cdf(1.0)
-        print(json.dumps({"before": before, "gamma": after_gamma,
-                          "stable": scipy_modules()}))
+        import numpy as np
+        xs = np.linspace(0.0, 6.0, 7)
+        gamma = dm.gamma_dist(2.0, 0.5)
+        gamma.cdf(xs)
+        gamma.density(xs)
+        dm.mixture([(0.4, dm.point_mass(1.0)), (0.6, dm.gamma_dist(1.0, 3.0))]).cdf(xs)
+        for kind, params in (("moran-downton", {"r": 0.4}),
+                             ("bivariate-gamma", {"r": 0.3, "q": 2.0}),
+                             ("trivariate-gamma", {"alpha": 1.5, "a": 0.4, "b": 0.5})):
+            law = dm.make_catalog(kind, params)
+            pts = [xs] * law.dim
+            law.cdf(*pts)
+            law.survival(*pts)
+        from stieltjes.transforms import closed_form_ls
+        closed_form_ls(dm.make_catalog("trivariate-gamma", {"alpha": 1.5, "a": 0.4, "b": 0.5}),
+                       [1.0, 2.0, 3.0])
+        dm.positive_stable(0.5).cdf(xs)
+        gamma_mix = json.dumps({"mixture": [
+            {"weight": 0.3, "spec": {"kind": "point-mass", "params": {"location": 0.5}}},
+            {"weight": 0.7, "spec": {"kind": "gamma", "params": {"lambda": 1.2, "q": 2.5}}},
+        ]})
+        cli("verify-identity", "--spec", gamma_mix, "--s", "1.5", "--tol", "1e-8")
+        print(json.dumps({"scipy": scipy_modules()}))
     """)
-    assert doc["before"] == []
-    assert "scipy.special" in doc["gamma"] and "scipy.stats" not in doc["gamma"]
-    # the Levy closed form's erfc; no kernel loads scipy.stats
-    assert "scipy.special" in doc["stable"] and "scipy.stats" not in doc["stable"]
+    assert doc["scipy"] == []
+
+
+def test_no_library_file_imports_scipy():
+    pattern = re.compile(r"^\s*(import scipy|from scipy)\b", re.MULTILINE)
+    root = os.path.join(SRC, "stieltjes")
+    sources = [os.path.join(d, f) for d, _, files in os.walk(root) for f in files
+               if f.endswith(".py")]
+    assert sources
+    offenders = []
+    for path in sources:
+        with open(path, encoding="utf-8") as fh:
+            if pattern.search(fh.read()):
+                offenders.append(os.path.relpath(path, SRC))
+    assert offenders == []

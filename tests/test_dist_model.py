@@ -1,3 +1,4 @@
+import itertools
 import math
 import warnings
 
@@ -11,6 +12,7 @@ from stieltjes import dist_model as dm
 from stieltjes.errors import (
     MissingMarginal,
     ParameterOutOfRange,
+    PrecisionExhausted,
     SeriesDiverged,
     UnknownCatalogName,
 )
@@ -160,7 +162,7 @@ def test_stable_series_diverges_small_x():
         dm.positive_stable_density(0.9, 1e-6, 50)
 
 
-def test_stable_dist_scipy_matches_series():
+def test_stable_dist_matches_series():
     st_dist = dm.positive_stable(0.7)
     series = dm.positive_stable_density(0.7, 2.0, 80)
     assert abs(st_dist.density(2.0) - series.value) <= 1e-7
@@ -210,11 +212,106 @@ def test_stable_kernel_edges_are_quiet_limits():
         assert np.array_equal(law.density(xs), dm._positive_stable_kernel(0.7, xs)[1])
 
 
+def test_stable_half_law_matches_levy_form_at_edges():
+    xs = np.array([0.0, 5e-324, 1e-300, 1e-3, 1.0, np.inf])
+    law = dm.positive_stable(0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        cdf, pdf = law.cdf(xs), law.density(xs)
+    with mpmath.workdps(40):
+        for x, c, d in zip(xs, cdf, pdf):
+            if x == 0.0 or x == np.inf:
+                ref_c, ref_d = float(x == np.inf), 0.0
+            else:
+                xm = mpmath.mpf(x)
+                # erfc(1/(2 sqrt(x))), taken as Q(1/2, 1/(4x)): mpmath's erfc
+                # overflows for arguments beyond about 1e150
+                ref_c = mpmath.gammainc(0.5, 1 / (4 * xm), mpmath.inf, regularized=True)
+                ref_d = xm**-1.5 * mpmath.exp(-1 / (4 * xm)) / (2 * mpmath.sqrt(mpmath.pi))
+            assert abs(c - ref_c) <= 1e-15, (x, c, ref_c)
+            assert abs(d - ref_d) <= 1e-12 * ref_d + 1e-15, (x, d, ref_d)
+
+
+def _pollard(alpha, x):
+    """CDF and density of the positive stable law from Pollard's series at
+    40 digits; for x > 1, where y = x^-alpha < 1 and the terms fall."""
+    with mpmath.workdps(40):
+        a, x = mpmath.mpf(alpha), mpmath.mpf(x)
+        y = x**-a
+        surv = xf = mpmath.mpf(0)
+        for k in itertools.count(1):
+            mag = mpmath.exp(mpmath.loggamma(a * k + 1) - mpmath.loggamma(k + 1)) * y**k
+            term = -((-1) ** k) * mpmath.sin(mpmath.pi * a * k) * mag
+            surv += term / (a * k)
+            xf += term
+            if mag < 1e-45:
+                return 1 - surv / mpmath.pi, xf / (mpmath.pi * x)
+
+
+def test_kanter_cap_raises_where_unconverged():
+    with pytest.raises(PrecisionExhausted, match=r"alpha=0\.99999.*x=1\.3"):
+        dm.positive_stable(0.99999).cdf(1.3)
+    # alpha = 0.9999 reaches the cap too, within the cap tolerance, and keeps
+    # the accuracy the README quotes for it
+    xs = np.array([1.03, 1.1, 1.3, 1.6, 1.9])
+    cdf, pdf = dm._positive_stable_kernel(0.9999, xs)
+    for x, c, d in zip(xs, cdf, pdf):
+        ref_c, ref_d = _pollard(0.9999, x)
+        assert abs(c - ref_c) <= 1e-15, (x, c, ref_c)
+        assert abs(d - ref_d) <= 1e-9 * ref_d, (x, d, ref_d)
+
+
 def test_stable_tail_near_alpha_one():
     # references: Pollard's series summed at 50 digits
     assert math.isclose(dm.positive_stable(0.95).survival(150.0),
                         4.4338779910682435e-4, rel_tol=1e-12)
     assert abs(dm.positive_stable(0.9).cdf(1084.0) - 0.99980465541100105) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# regularized incomplete Gamma kernel
+
+
+def _gamma_p_ref(a, z):
+    """P(a, z) at 40 digits."""
+    if z == np.inf:
+        return mpmath.mpf(1)
+    with mpmath.workdps(40):
+        return mpmath.gammainc(a, 0, z, regularized=True)
+
+
+@pytest.mark.parametrize("a", [0.05, 0.3, 0.5, 1.0, 1.5, 2.7, 10.3, 48.0, 61.5, 200.0, 4000.0])
+def test_incomplete_gamma_matches_mpmath(a):
+    zs = np.concatenate([
+        np.geomspace(1e-3, 1e4, 15),
+        a * (1.0 + np.array([-0.3, -0.05, -1e-3, 0.0, 1e-3, 0.05, 0.3])),
+        [0.0, 5e-324, np.inf],
+    ])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        p = dm._gamma_table([a], 1.0, zs)[0]
+        q = dm._gamma_table([a], 1.0, zs, upper=True)[0]
+    for z, pz, qz in zip(zs, p, q):
+        ref = _gamma_p_ref(a, z)
+        assert abs(pz - ref) <= 1e-14 and abs(qz - (1 - ref)) <= 1e-14, (z, pz, qz, ref)
+
+
+@pytest.mark.parametrize("upper", [False, True])
+@pytest.mark.parametrize("f", [0.5, 1.0])
+def test_gamma_table_rows_match_mpmath(f, upper):
+    # one base evaluation at f and 60 rows of the shape recurrence; the
+    # shapes arrive shuffled and repeated, as a series law's terms do
+    shapes = f + np.arange(61.0)
+    rng = np.random.default_rng(7)
+    order = rng.permutation(np.concatenate([np.arange(61), np.arange(0, 61, 7)]))
+    zs = np.concatenate([np.geomspace(1e-2, 200.0, 10), [0.0, 5e-324, np.inf]])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        table = dm._gamma_table(shapes[order], 1.0, zs, upper)
+    for row, k in zip(table, order):
+        for z, v in zip(zs, row):
+            ref = _gamma_p_ref(shapes[k], z)
+            assert abs(v - (1 - ref if upper else ref)) <= 1e-14, (shapes[k], z, v)
 
 
 # ---------------------------------------------------------------------------
