@@ -84,6 +84,9 @@ _STIRLING_MIN = 10.0
 _STIRLING = (1 / 12, -1 / 360, 1 / 1260, -1 / 1680, 1 / 1188, -691 / 360360, 1 / 156)
 # beyond this z every P is 1, Q is 0 and d is 0 in double precision
 _GAMMA_Z_MAX = 1e300
+# a row a further than _GAMMA_REACH (sqrt(z) + 1) from z has d(a, z) < 1e-24
+# (t >= 72 below z; above, t >= 56 at z = 1 and -> 72 as z grows)
+_GAMMA_REACH = 12.0
 
 
 @functools.cache
@@ -180,7 +183,9 @@ def _gamma_rows(f, rows, z, upper=False):
 
     One base evaluation at f, then d(a) = z^a e^-z / Gamma(a + 1) per row:
     P(a + 1) = P(a) - d(a) and Q(a + 1) = Q(a) + d(a), summed up the rows in
-    blocks of at most _TERM_BLOCK values.  z < 0 reads as 0.
+    blocks of at most _TERM_BLOCK values.  Only the rows within reach of
+    some point are summed: below them every row holds the base value, above
+    them the value of the last one.  z < 0 reads as 0.
     """
     top = int(max(rows))
     shape = (len(rows),) + np.shape(z)
@@ -189,17 +194,24 @@ def _gamma_rows(f, rows, z, upper=False):
     acc = q if upper else p
     if top == 0:
         return acc[None].repeat(len(rows), axis=0).reshape(shape)
+    first, last = 0, top
+    live = z[z == z]  # a NaN point is NaN in every row whatever the window
+    if live.size:
+        z_lo, z_hi = live.min(), live.max()
+        first = max(0, min(top, int(z_lo - _GAMMA_REACH * (math.sqrt(z_lo) + 1.0) - f)))
+        last = min(top, int(z_hi + _GAMMA_REACH * (math.sqrt(z_hi) + 1.0)) + 1)
     rows = np.asarray(rows)
     out = np.empty((len(rows), z.size))
-    out[rows == 0] = acc
+    out[rows <= first] = acc
     step = max(1, _TERM_BLOCK // max(1, z.size))
-    for lo in range(0, top, step):
-        hi = min(top, lo + step)
+    for lo in range(first, last, step):
+        hi = min(last, lo + step)
         tab = np.cumsum(_gamma_d(f, lo, hi, z), axis=0)
         tab = acc + tab if upper else acc - tab
         sel = (rows > lo) & (rows <= hi)
         out[sel] = tab[rows[sel] - lo - 1]
         acc = tab[-1]
+    out[rows > last] = acc
     # the sums over rows may round a hair past 0 or 1
     return np.minimum(np.maximum(out, 0.0, out=out), 1.0, out=out).reshape(shape)
 

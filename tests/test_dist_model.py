@@ -314,6 +314,19 @@ def test_gamma_table_rows_match_mpmath(f, upper):
             assert abs(v - (1 - ref if upper else ref)) <= 1e-14, (shapes[k], z, v)
 
 
+def test_gamma_rows_beyond_reach_keep_their_values():
+    # rows far below every point hold the base value and rows far above the
+    # value of the last row summed; neither is summed, and both must be right
+    shapes = 0.5 + np.arange(0.0, 4001.0, 250.0)
+    for zs in (np.array([30.0, 60.0, 100.0]), np.array([3900.0, 4000.5, 4100.0])):
+        for upper in (False, True):
+            table = dm._gamma_table(shapes, 1.0, zs, upper)
+            for row, a in zip(table, shapes):
+                for z, v in zip(zs, row):
+                    ref = _gamma_p_ref(a, z)
+                    assert abs(v - (1 - ref if upper else ref)) <= 1e-14, (a, z, v)
+
+
 # ---------------------------------------------------------------------------
 # BLM
 
