@@ -15,12 +15,10 @@ from .dist_model import (
     blm_survival,
     exponential,
     gamma_dist,
-    inclusion_exclusion_survival,
     make_catalog,
     mixture,
     point_mass,
     positive_stable,
-    positive_stable_density,
 )
 from .fingerprint import (
     Fingerprint,
@@ -77,7 +75,6 @@ __all__ = [
     "feller_cdf",
     "gamma_dist",
     "golitschek_coeffs",
-    "inclusion_exclusion_survival",
     "ls_carson",
     "ls_direct",
     "ls_survival_route",
@@ -86,7 +83,6 @@ __all__ = [
     "oracle_from_distribution",
     "point_mass",
     "positive_stable",
-    "positive_stable_density",
     "post_widder_density",
     "qn_eval",
     "sup_norm_estimate",

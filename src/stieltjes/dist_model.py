@@ -32,13 +32,17 @@ from .errors import (
     MissingMarginal,
     ParameterOutOfRange,
     PrecisionExhausted,
-    SeriesDiverged,
     UnknownCatalogName,
 )
 
 _MASS_TOL = 1e-12
 # pointwise sums of products hold at most this many term values at once
 _TERM_BLOCK = 1 << 20
+
+
+def _finite_positive(*vals) -> bool:
+    """True when every value is finite and > 0; NaN fails."""
+    return all(math.isfinite(v) and v > 0 for v in vals)
 
 
 def _exp_em1ratio(u, c, t):
@@ -270,12 +274,12 @@ class Distribution1D:
     ):
         atoms = tuple((float(a), float(m)) for a, m in atoms)
         for loc, mass in atoms:
-            if loc < 0:
-                raise ParameterOutOfRange("atom location must be >= 0")
+            if not (math.isfinite(loc) and loc >= 0):
+                raise ParameterOutOfRange("atom location must be finite and >= 0")
             if not 0 < mass <= 1 + _MASS_TOL:
                 raise ParameterOutOfRange("atom mass must lie in (0, 1]")
         total = sum(m for _, m in atoms) + ac_weight
-        if abs(total - 1.0) > _MASS_TOL:
+        if not abs(total - 1.0) <= _MASS_TOL:
             raise ParameterOutOfRange(
                 f"atom masses + AC weight must sum to 1 (got {total!r})"
             )
@@ -346,8 +350,8 @@ class Distribution1D:
 
 
 def point_mass(location: float) -> Distribution1D:
-    if location < 0:
-        raise ParameterOutOfRange("point-mass: location must be >= 0")
+    if not (math.isfinite(location) and location >= 0):
+        raise ParameterOutOfRange("point-mass: location must be finite and >= 0")
     return Distribution1D(
         atoms=[(location, 1.0)],
         transform_terms=[("atom", 1.0, float(location))],
@@ -358,8 +362,8 @@ def point_mass(location: float) -> Distribution1D:
 
 
 def exponential(lam: float) -> Distribution1D:
-    if lam <= 0:
-        raise ParameterOutOfRange("exponential: lambda must be > 0")
+    if not _finite_positive(lam):
+        raise ParameterOutOfRange("exponential: lambda must be finite and > 0")
     lam = float(lam)
     return Distribution1D(
         ac_weight=1.0,
@@ -373,10 +377,10 @@ def exponential(lam: float) -> Distribution1D:
 
 
 def gamma_dist(lam: float, q: float) -> Distribution1D:
-    if lam <= 0:
-        raise ParameterOutOfRange("gamma: lambda must be > 0")
-    if q <= 0:
-        raise ParameterOutOfRange("gamma: shape q must be > 0")
+    if not _finite_positive(lam):
+        raise ParameterOutOfRange("gamma: lambda must be finite and > 0")
+    if not _finite_positive(q):
+        raise ParameterOutOfRange("gamma: shape q must be finite and > 0")
     lam, q = float(lam), float(q)
     lognorm = q * math.log(lam) - math.lgamma(q)
     m = math.ceil(q) - 1
@@ -405,13 +409,6 @@ def gamma_dist(lam: float, q: float) -> Distribution1D:
     )
 
 
-@dataclass(frozen=True)
-class StableDensityValue:
-    value: float
-    error_bound: float
-    terms_used: int
-
-
 def _stable_term(alpha: float, k: int) -> tuple[float, float]:
     """log(Gamma(alpha k + 1) / k!) and -(-1)^k sin(alpha k pi): term k of
     Pollard's series pi x f(x) = sum_k sign_k exp(logmag_k) x^(-alpha k),
@@ -420,57 +417,6 @@ def _stable_term(alpha: float, k: int) -> tuple[float, float]:
     if abs(sk) < 1e-13:
         sk = 0.0
     return math.lgamma(alpha * k + 1.0) - math.lgamma(k + 1.0), -((-1.0) ** k) * sk
-
-
-def positive_stable_density(alpha: float, x: float, terms: int) -> StableDensityValue:
-    """Partial sum of the positive stable density series at a point.
-
-    The series alternates and its terms first grow for small x; evaluation
-    stops when the term magnitude drops below 1e-16 of the partial sum or
-    the term budget runs out.  The reported error bound is the magnitude of
-    the first omitted (nonzero) term.
-
-    Raises SeriesDiverged when the budget runs out while terms are still
-    growing, i.e. x is too small for the requested accuracy.
-    """
-    if not 0 < alpha < 1:
-        raise ParameterOutOfRange("positive-stable: alpha must lie in (0, 1)")
-    if x <= 0:
-        raise ParameterOutOfRange("positive-stable density: x must be > 0")
-    if terms < 1:
-        raise ParameterOutOfRange("positive-stable density: terms must be >= 1")
-
-    def term_parts(k: int):
-        """Signed term and its sine-free magnitude envelope."""
-        logmag, sign = _stable_term(alpha, k)
-        logmag -= alpha * k * math.log(x) + math.log(math.pi * x)
-        if logmag > 700.0:
-            raise SeriesDiverged(
-                f"series terms overflow at k={k} (x={x:g} too small for alpha={alpha:g})"
-            )
-        env = math.exp(logmag)
-        return sign * env, env
-
-    total = 0.0
-    prev_env = None
-    growing = False
-    used = 0
-    for k in range(1, terms + 1):
-        t, env = term_parts(k)
-        used = k
-        total += t
-        if env < 1e-16 * abs(total):
-            growing = False
-            break
-        growing = prev_env is not None and env > prev_env
-        prev_env = env
-    else:
-        if growing:
-            raise SeriesDiverged(
-                f"terms still growing after {terms} terms (x={x:g}, alpha={alpha:g})"
-            )
-    _, bound = term_parts(used + 1)
-    return StableDensityValue(total, bound, used)
 
 
 # -- positive stable kernel ---------------------------------------------------
@@ -676,7 +622,7 @@ def mixture(components: Sequence[tuple[float, Distribution1D]]) -> Distribution1
     if not components:
         raise ParameterOutOfRange("mixture: needs at least one component")
     wsum = sum(w for w, _ in components)
-    if abs(wsum - 1.0) > _MASS_TOL:
+    if not abs(wsum - 1.0) <= _MASS_TOL:
         raise ParameterOutOfRange(f"mixture: weights must sum to 1 (got {wsum!r})")
     atom_masses: dict[float, float] = {}
     ac_parts = []
@@ -842,9 +788,9 @@ class MarshallOlkinJoint(JointDist):
     dim = 2
 
     def __init__(self, lambda1: float, lambda2: float, lambda12: float):
-        if min(lambda1, lambda2, lambda12) <= 0:
+        if not _finite_positive(lambda1, lambda2, lambda12):
             raise ParameterOutOfRange(
-                "marshall-olkin: lambda1, lambda2, lambda12 must all be > 0"
+                "marshall-olkin: lambda1, lambda2, lambda12 must all be finite and > 0"
             )
         self.l1, self.l2, self.l12 = float(lambda1), float(lambda2), float(lambda12)
         self.params = {"lambda1": self.l1, "lambda2": self.l2, "lambda12": self.l12}
@@ -888,8 +834,8 @@ class FreundJoint(JointDist):
     dim = 2
 
     def __init__(self, alpha: float, alpha_prime: float, beta: float, beta_prime: float):
-        if min(alpha, alpha_prime, beta, beta_prime) <= 0:
-            raise ParameterOutOfRange("freund: all four rates must be > 0")
+        if not _finite_positive(alpha, alpha_prime, beta, beta_prime):
+            raise ParameterOutOfRange("freund: all four rates must be finite and > 0")
         self.a, self.ap = float(alpha), float(alpha_prime)
         self.b, self.bp = float(beta), float(beta_prime)
         self.params = {
@@ -1006,8 +952,8 @@ class BlmSpec:
     theta: float
 
     def __post_init__(self):
-        if self.theta <= 0:
-            raise ParameterOutOfRange("blm: theta must be > 0")
+        if not _finite_positive(self.theta):
+            raise ParameterOutOfRange("blm: theta must be finite and > 0")
         for name, d in (("F", self.F), ("G", self.G)):
             if d.cdf(0.0) > _MASS_TOL:
                 raise ParameterOutOfRange(f"blm: {name} must have positive support")
@@ -1217,8 +1163,8 @@ class _BivariateGammaJoint(GammaSeriesJoint):
 def bivariate_gamma(r: float, q: float) -> GammaSeriesJoint:
     if not 0 <= r < 1:
         raise ParameterOutOfRange("bivariate-gamma: r must lie in [0, 1)")
-    if q <= 0:
-        raise ParameterOutOfRange("bivariate-gamma: q must be > 0")
+    if not _finite_positive(q):
+        raise ParameterOutOfRange("bivariate-gamma: q must be finite and > 0")
     r, q = float(r), float(q)
     coeffs = [(1.0 - r) ** q]
     n = 0
@@ -1247,8 +1193,8 @@ _TRIGAMMA_ORDER = 60
 def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
     """Trivariate Gamma family: the double series sum_{n, ell} c_{n, ell}
     Gamma(alpha + ell) x Gamma(alpha + n) x Gamma(alpha + n - ell), rate 1."""
-    if alpha <= 0 or a <= 0 or b <= 0:
-        raise ParameterOutOfRange("trivariate-gamma: alpha, a, b must be > 0")
+    if not _finite_positive(alpha, a, b):
+        raise ParameterOutOfRange("trivariate-gamma: alpha, a, b must be finite and > 0")
     if a * a + b * b >= 1:
         raise ParameterOutOfRange("trivariate-gamma: need a^2 + b^2 < 1")
     alpha, a, b = float(alpha), float(a), float(b)
@@ -1281,33 +1227,6 @@ def trivariate_gamma(alpha: float, a: float, b: float) -> GammaSeriesJoint:
         coeffs, alpha + np.stack([ell_idx, n_idx, n_idx - ell_idx]), np.ones(3),
         tail, "trivariate-gamma", {"alpha": alpha, "a": a, "b": b},
     )
-
-
-# ---------------------------------------------------------------------------
-# Inclusion-exclusion
-
-
-def inclusion_exclusion_survival(joint: JointDist, x: Sequence[float]) -> float:
-    """Joint survival from the CDF and all lower-order marginal CDFs.
-
-    Alternating sum over marginal orders; needs every marginal evaluator.
-    """
-    if len(x) != joint.dim:
-        raise ParameterOutOfRange(
-            f"point has dimension {len(x)}, distribution has {joint.dim}"
-        )
-    n = joint.dim
-    total = 1.0
-    for k in range(1, n + 1):
-        for subset in itertools.combinations(range(n), k):
-            if k == n:
-                h = joint.cdf(*x)
-            else:
-                marg = joint.marginal(subset)
-                pts = [x[i] for i in subset]
-                h = marg.cdf(*pts) if k > 1 else marg.cdf(pts[0])
-            total += (-1.0) ** k * float(h)
-    return total
 
 
 # ---------------------------------------------------------------------------

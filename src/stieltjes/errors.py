@@ -13,10 +13,6 @@ class ParameterOutOfRange(StieltjesError):
     """A catalog parameter violates its constraint; message names the constraint."""
 
 
-class SeriesDiverged(StieltjesError):
-    """Series terms were still growing when the term budget ran out."""
-
-
 class NoDensityRoute(StieltjesError):
     """Distribution has a non-atomic part but no density evaluator."""
 

@@ -12,7 +12,6 @@ construction or separated by at least 0.01 in total variation.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 

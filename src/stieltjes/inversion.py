@@ -110,8 +110,8 @@ def post_widder_density(oracle: TransformOracle, x: float, n: int) -> float:
     Converges to the density at x as n grows; callers observe convergence by
     increasing n.  n=0 degenerates to (1/x) L(1/x).
     """
-    if x <= 0:
-        raise ParameterOutOfRange("x must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise ParameterOutOfRange("x must be positive and finite")
     if n < 0:
         raise ParameterOutOfRange("n must be >= 0")
     prec = _work_prec(n, oracle)
@@ -141,8 +141,8 @@ def feller_cdf(
     k <= floor(n x) is used.  The raw (unclamped) value lands in
     `diagnostics` when a dict is supplied.
     """
-    if x <= 0:
-        raise ParameterOutOfRange("x must be positive")
+    if not (math.isfinite(x) and x > 0):
+        raise ParameterOutOfRange("x must be positive and finite")
     if n < 1:
         raise ParameterOutOfRange("n must be >= 1")
     K = int(math.floor(n * x + 1e-12))
@@ -166,25 +166,6 @@ def feller_cdf(
         diagnostics.update({"raw": raw, "k_max": K, "precision_bits": prec,
                             "certified_error": float(err)})
     return min(1.0, max(0.0, raw))
-
-
-def feller_cdf_alt(oracle: TransformOracle, x: float, n: int) -> float:
-    """Alternate form of the CDF approximant,
-    sum_{k=0}^{n} ((-1)^k/k!) (n/x)^k L^(k)(n/x); cross-checks feller_cdf."""
-    if x <= 0:
-        raise ParameterOutOfRange("x must be positive")
-    if n < 1:
-        raise ParameterOutOfRange("n must be >= 1")
-    prec = _work_prec(n, oracle)
-    with mp.workprec(prec):
-        sm = mpf(n) / mpf(x)
-        coeff = mpf(1)  # (n/x)^k / k!
-        total = mpf(0)
-        for k in range(n + 1):
-            d, _ = _derivative(oracle, k, sm)
-            total += (-1) ** k * coeff * d
-            coeff = coeff * sm / (k + 1)
-        return float(total)
 
 
 @dataclass

@@ -166,6 +166,8 @@ class MuntzApproximant:
 
 
 def _validate(q: float, lambdas: Sequence[float]):
+    if not math.isfinite(q):
+        raise ParameterOutOfRange("q must be finite")
     if q <= 0:
         raise ParameterOutOfRange("q must be positive")
     prev = 0.0
@@ -256,8 +258,7 @@ def golitschek_coeffs(q: float, lambdas, n: int | None = None) -> MuntzApproxima
                 raise ParameterOutOfRange("n exceeds the provided prefix length")
             prefix = prefix[:n]
     if len(prefix) == 0:
-        if q <= 0:
-            raise ParameterOutOfRange("q must be positive")
+        _validate(q, [])
         return MuntzApproximant(q=q, lambdas=(), coeffs=(), prec=128, bound=1.0)
     last = None
     for approx in coefficient_triangle(q, prefix):

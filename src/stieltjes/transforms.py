@@ -114,19 +114,29 @@ def ls_direct(dist: Distribution1D, s: float, tol: float = DEFAULT_TOL) -> Trans
                           res.evaluations + hs.size)
 
 
-def _ls_survival_1d(dist: Distribution1D, s: float, tol: float) -> TransformValue:
-    """Survival route: value = 1 - s * int exp(-sx) Fbar(x) dx."""
+def _cdf_integral_1d(dist: Distribution1D, s: float, tol: float,
+                     use_survival: bool) -> TransformValue:
+    """Carson value s * int exp(-sx) F(x) dx, or with `use_survival` the
+    survival-route value 1 - s * int exp(-sx) Fbar(x) dx, on [0, T] with the
+    atoms as breakpoints; est_error adds the tail bound e^{-sT}."""
     T = _truncation(s, tol)
+    point_fn = dist.survival if use_survival else dist.cdf
 
     def integrand(x):
-        return np.asarray(dist.survival(x)) * np.exp(-s * x)
+        return np.asarray(point_fn(x)) * np.exp(-s * x)
 
     atoms = [loc for loc, _ in dist.atoms]
     res = adaptive_quad(integrand, 0.0, T, tol / (2 * s), breakpoints=atoms)
-    tail = math.exp(-s * T)
+    value = s * res.value
     return TransformValue(
-        1.0 - s * res.value, s * res.error + tail, "survival", res.evaluations
+        1.0 - value if use_survival else value, s * res.error + math.exp(-s * T),
+        "survival" if use_survival else "carson", res.evaluations,
     )
+
+
+def _ls_survival_1d(dist: Distribution1D, s: float, tol: float) -> TransformValue:
+    """Survival route: value = 1 - s * int exp(-sx) Fbar(x) dx."""
+    return _cdf_integral_1d(dist, s, tol, use_survival=True)
 
 
 # ---------------------------------------------------------------------------
@@ -233,18 +243,7 @@ def ls_carson(dist, s, tol: float = DEFAULT_TOL) -> TransformValue:
     if isinstance(dist, Distribution1D):
         if len(svec) != 1:
             raise ParameterOutOfRange("univariate distribution takes a single s")
-        s0 = svec[0]
-        T = _truncation(s0, tol)
-
-        def integrand(x):
-            return np.asarray(dist.cdf(x)) * np.exp(-s0 * x)
-
-        atoms = [loc for loc, _ in dist.atoms]
-        res = adaptive_quad(integrand, 0.0, T, tol / (2 * s0), breakpoints=atoms)
-        tail = math.exp(-s0 * T)
-        return TransformValue(
-            s0 * res.value, s0 * res.error + tail, "carson", res.evaluations
-        )
+        return _cdf_integral_1d(dist, svec[0], tol, use_survival=False)
 
     values, errors, evals = ls_carson_grid(dist, [(v,) for v in svec], tol)
     return TransformValue(values.item(), errors.item(), "carson", evals)
@@ -453,20 +452,3 @@ def verify_identity(dist, s, tol: float = 1e-8) -> IdentityReport:
     ))
     rep.passed = bool(rep.max_route_gap <= tol and (rep.expanded_gap or 0.0) <= tol)
     return rep
-
-
-def complete_monotonicity_margin(
-    ls, lo: float = 0.5, hi: float = 5.0, h: float = 0.1, kmax: int = 3
-) -> float:
-    """Smallest value of (-1)^k * k-th forward difference of ls on the grid.
-
-    Nonnegative (up to arithmetic noise) for genuinely completely monotone
-    transforms; a clearly negative return flags a violation.
-    """
-    grid = np.arange(lo, hi + h / 2, h)
-    vals = np.array([ls(float(sv)) for sv in grid])
-    margin = math.inf
-    for k in range(kmax + 1):
-        d = np.diff(vals, k) if k else vals
-        margin = min(margin, float(np.min((-1.0) ** k * d)))
-    return margin

@@ -77,7 +77,6 @@ def test_import_construction_and_scipy_free_commands_never_load_scipy():
         stable = dm.positive_stable(0.7)
         stable.cdf([0.0, 0.5, 1.0, 10.0])
         stable.density([0.5, 1.0, 10.0])
-        dm.positive_stable_density(0.7, 2.0, 80)
         print(json.dumps({"scipy": scipy_modules()}))
     """)
     assert doc["scipy"] == []

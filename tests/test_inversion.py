@@ -93,6 +93,13 @@ def test_post_widder_validates_input():
         inv.post_widder_density(o, 1.0, -1)
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf])
+@pytest.mark.parametrize("fn", [inv.post_widder_density, inv.feller_cdf])
+def test_inversion_rejects_non_finite_x(fn, x):
+    with pytest.raises(ParameterOutOfRange, match="x must be positive and finite"):
+        fn(exp1_oracle(), x, 4)
+
+
 def test_post_widder_order_beyond_synthesis_cap():
     eval_only = inv.TransformOracle(eval=lambda s: 1 / (1 + mpf(s)))
     with pytest.raises(DerivativeUnavailable):
@@ -134,13 +141,27 @@ def test_feller_monotone_in_x_and_bounded():
     assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def feller_cdf_alt(oracle, x, n):
+    """Alternate form of the CDF approximant,
+    sum_{k=0}^{n} ((-1)^k/k!) (n/x)^k L^(k)(n/x); cross-checks feller_cdf."""
+    with mp.workprec(inv._work_prec(n, oracle)):
+        sm = mpf(n) / mpf(x)
+        coeff = mpf(1)  # (n/x)^k / k!
+        total = mpf(0)
+        for k in range(n + 1):
+            d, _ = inv._derivative(oracle, k, sm)
+            total += (-1) ** k * coeff * d
+            coeff = coeff * sm / (k + 1)
+        return float(total)
+
+
 def test_feller_diagnostics_and_alt_form():
     o = exp1_oracle()
     diag = {}
     v = inv.feller_cdf(o, 1.0, 100, diag)
     assert diag["k_max"] == 100
     assert diag["raw"] == pytest.approx(v)
-    alt = inv.feller_cdf_alt(o, 1.0, 100)
+    alt = feller_cdf_alt(o, 1.0, 100)
     assert abs(alt - v) <= 1e-12
 
 

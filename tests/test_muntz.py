@@ -86,6 +86,14 @@ def test_q_collision_rejected():
         mu.golitschek_coeffs(1.0, [1.0, 2.0])
 
 
+@pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("lambdas, n", [(mu.MuntzSequence.integers(), 5), ([], None)],
+                         ids=["integers", "empty"])
+def test_non_finite_q_rejected(q, lambdas, n):
+    with pytest.raises(ParameterOutOfRange, match="q must be finite"):
+        mu.golitschek_coeffs(q, lambdas, n)
+
+
 def test_sequence_validation():
     with pytest.raises(ParameterOutOfRange):
         mu.golitschek_coeffs(0.5, [2.0, 1.0])

@@ -354,6 +354,14 @@ def test_transform_value_bounds():
         assert tv.est_error <= 1e-9
 
 
+def complete_monotonicity_margin(ls, lo, hi, h, kmax):
+    """Smallest value of (-1)^k * k-th forward difference of ls on the grid
+    lo, lo + h, ..., hi, k <= kmax: nonnegative up to arithmetic noise for a
+    completely monotone ls."""
+    vals = np.array([ls(float(sv)) for sv in np.arange(lo, hi + h / 2, h)])
+    return min(float(np.min((-1.0) ** k * np.diff(vals, k))) for k in range(kmax + 1))
+
+
 def test_complete_monotonicity_probe():
     for dist in [
         dm.exponential(1.0),
@@ -361,7 +369,7 @@ def test_complete_monotonicity_probe():
         dm.mixture([(0.4, dm.point_mass(1.0)), (0.6, dm.exponential(0.7))]),
         dm.positive_stable(0.5),
     ]:
-        margin = tr.complete_monotonicity_margin(
+        margin = complete_monotonicity_margin(
             lambda s, d=dist: d.closed_ls(s), 0.5, 5.0, 0.1, 3
         )
         assert margin >= -1e-8
