@@ -95,18 +95,15 @@ def compute_fingerprint(
 
     `grids` is one MuntzSequence or explicit value sequence per axis;
     `prefix_lens` the per-axis truncation (scalar broadcasts).  Deterministic
-    given route and tolerances.  When every cell of a joint law takes the
-    Carson route, all cells are integrated on one shared grid; each keeps
-    its own error bound.
+    given route and tolerances.  When every cell takes the Carson route, all
+    cells are integrated on one shared grid; each keeps its own error bound.
     """
     dim = dist.dim
     route = canonical_route(route)
     grid_vals, kinds = _normalize_grids(grids, prefix_lens, dim)
     shape = tuple(len(g) for g in grid_vals)
     cells = [[grid_vals[ax][i] for ax, i in enumerate(idx)] for idx in np.ndindex(shape)]
-    if isinstance(dist, dm.JointDist) and all(
-        resolve_route(dist, svec, route) == "carson" for svec in cells
-    ):
+    if all(resolve_route(dist, svec, route) == "carson" for svec in cells):
         # one shared grid and one CDF pass for every cell
         values, errors, _ = ls_carson_grid(dist, grid_vals, tol)
     else:

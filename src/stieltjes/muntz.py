@@ -375,7 +375,9 @@ def qn_integral_step(
             out = out - c * t**lam
         return out
 
+    # scaled by (x/t)^{lambda_n} inside, so `tol` applies to the O(1) result
+    # rather than to an integral of size up to x^{-lambda_n}
     res = adaptive_quad(
-        lambda t: qprev(t) * t ** (-(1.0 + lam_n)), x, 1.0, tol
+        lambda t: (lam_n - q) * qprev(t) * (x / t) ** lam_n / t, x, 1.0, tol
     )
-    return (lam_n - q) * x**lam_n * res.value
+    return res.value

@@ -114,29 +114,9 @@ def ls_direct(dist: Distribution1D, s: float, tol: float = DEFAULT_TOL) -> Trans
                           res.evaluations + hs.size)
 
 
-def _cdf_integral_1d(dist: Distribution1D, s: float, tol: float,
-                     use_survival: bool) -> TransformValue:
-    """Carson value s * int exp(-sx) F(x) dx, or with `use_survival` the
-    survival-route value 1 - s * int exp(-sx) Fbar(x) dx, on [0, T] with the
-    atoms as breakpoints; est_error adds the tail bound e^{-sT}."""
-    T = _truncation(s, tol)
-    point_fn = dist.survival if use_survival else dist.cdf
-
-    def integrand(x):
-        return np.asarray(point_fn(x)) * np.exp(-s * x)
-
-    atoms = [loc for loc, _ in dist.atoms]
-    res = adaptive_quad(integrand, 0.0, T, tol / (2 * s), breakpoints=atoms)
-    value = s * res.value
-    return TransformValue(
-        1.0 - value if use_survival else value, s * res.error + math.exp(-s * T),
-        "survival" if use_survival else "carson", res.evaluations,
-    )
-
-
 def _ls_survival_1d(dist: Distribution1D, s: float, tol: float) -> TransformValue:
     """Survival route: value = 1 - s * int exp(-sx) Fbar(x) dx."""
-    return _cdf_integral_1d(dist, s, tol, use_survival=True)
+    return _survival_identity(dist, (s,), tol)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -157,7 +137,8 @@ def _weighted_cdf_eval(dist, s_axes, use_survival):
 
     def evaluate(nodes):
         weights = [_exp_rows(s, x) for s, x in zip(s_axes, nodes)]
-        terms = dist.separable_terms(nodes, use_survival)
+        terms = (dist.separable_terms(nodes, use_survival)
+                 if isinstance(dist, JointDist) else None)
         if terms is not None:
             return WeightedBatch(RankOneSum(*terms), weights)
         shape = tuple(len(n) for n in nodes)
@@ -184,7 +165,7 @@ def _triangle_eval(point_fn, outer, inner, upper):
     return evaluate
 
 
-def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False):
+def _carson_integral(dist, s_axes, tol, use_survival=False):
     """(prod s_i) * integral of (survival or CDF) * exp(-sum s_i x_i) over the
     orthant, for every s in the Cartesian product of the per-axis tuples
     `s_axes`, on one shared grid.
@@ -193,8 +174,9 @@ def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False):
     and tail have the batch shape (len(s_axes[0]), ...).  Each cell's
     quadrature error is held to `tol`, and each axis is truncated where the
     smallest s on it has its tail within `tol`; the tail bound is taken at
-    that shared length.  Panels are graded for the largest s.  2-D kinds
-    with a diagonal kink are split into triangles along {x = y} first.
+    that shared length.  Panels are graded for the largest s.  A 1-D law's
+    atoms seed its axis; 2-D kinds with a diagonal kink are split into
+    triangles along {x = y} first.
     """
     dim = len(s_axes)
     point_fn = dist.survival if use_survival else dist.cdf
@@ -223,7 +205,9 @@ def _carson_integral(dist: JointDist, s_axes, tol, use_survival=False):
             evals += r.evaluations
     else:
         Ts = [_truncation(min(s), tol, dim) for s in s_axes]
-        axes = [AxisSpec(length=T, rate=max(s)) for T, s in zip(Ts, s_axes)]
+        atoms = dist.atoms if isinstance(dist, Distribution1D) else ()
+        axes = [AxisSpec(length=T, rate=max(s), seeds=[loc for loc, _ in atoms])
+                for T, s in zip(Ts, s_axes)]
         r = tensor_quad(_weighted_cdf_eval(dist, s_axes, use_survival), axes, cell_tol[None])
         val, err, evals = r.value[0], r.error[0], r.evaluations
     tail = sum(np.exp(-g * T) for g, T in zip(grids, Ts))
@@ -239,19 +223,13 @@ def ls_carson(dist, s, tol: float = DEFAULT_TOL) -> TransformValue:
     _check_tol(tol)
     svec = _as_svec(s)
     _check_s(svec)
-
-    if isinstance(dist, Distribution1D):
-        if len(svec) != 1:
-            raise ParameterOutOfRange("univariate distribution takes a single s")
-        return _cdf_integral_1d(dist, svec[0], tol, use_survival=False)
-
     values, errors, evals = ls_carson_grid(dist, [(v,) for v in svec], tol)
     return TransformValue(values.item(), errors.item(), "carson", evals)
 
 
-def ls_carson_grid(dist: JointDist, s_axes, tol: float = DEFAULT_TOL):
-    """Carson route for a joint law at every s in the Cartesian product of
-    the per-axis tuples `s_axes`, integrated on one shared grid.
+def ls_carson_grid(dist, s_axes, tol: float = DEFAULT_TOL):
+    """Carson route for a law of any dimension at every s in the Cartesian
+    product of the per-axis tuples `s_axes`, integrated on one shared grid.
 
     Returns (values, est_errors, evaluations): arrays of shape
     (len(s_axes[0]), ...) holding each cell's value and its own error bound,
@@ -263,21 +241,21 @@ def ls_carson_grid(dist: JointDist, s_axes, tol: float = DEFAULT_TOL):
         if not s:
             raise ParameterOutOfRange("every axis needs at least one s")
         _check_s(s)
-    _check_joint_dim(dist, len(s_axes))
+    _check_dim(dist, len(s_axes))
     value, err, evals, tail = _carson_integral(dist, s_axes, tol / 2)
     return value, err + tail, evals
 
 
-def _check_joint_dim(dist: JointDist, n: int):
+def _check_dim(dist, n: int):
     if n != dist.dim:
         raise ParameterOutOfRange(f"s has dimension {n}, distribution has {dist.dim}")
     if dist.dim > 4:
         raise DimensionTooLarge("tensor quadrature is capped at dimension 4")
 
 
-def _survival_identity(dist: JointDist, svec, tol):
+def _survival_identity(dist, svec, tol):
     """Both sides of E[prod(1 - e^{-s_i X_i})] = (prod s_i) * int Hbar e^{-s.x}
-    for a joint law of dimension n, and the survival-route value of L(s).
+    for a law of dimension n, and the survival-route value of L(s).
 
     The right side is one survival integral at tol/2.  The left side, without
     its full-transform term (-1)^n L(s), is 1 plus (-1)^|S| L_S(s_S) over the
@@ -312,11 +290,7 @@ def ls_survival_route(dist, *s, tol: float = 1e-8) -> TransformValue:
     _check_tol(tol)
     svec = _as_svec(s)
     _check_s(svec)
-    if isinstance(dist, Distribution1D):
-        if len(svec) != 1:
-            raise ParameterOutOfRange("univariate distribution takes a single s")
-        return _ls_survival_1d(dist, svec[0], tol)
-    _check_joint_dim(dist, len(svec))
+    _check_dim(dist, len(svec))
     return _survival_identity(dist, svec, tol)[0]
 
 
@@ -422,9 +396,8 @@ def verify_identity(dist, s, tol: float = 1e-8) -> IdentityReport:
     _check_tol(tol)
     svec = _as_svec(s)
     _check_s(svec)
+    _check_dim(dist, len(svec))
     joint = not isinstance(dist, Distribution1D)
-    if joint:
-        _check_joint_dim(dist, len(svec))
     rep = IdentityReport(dim=len(svec), s=svec, tol=tol)
     quad_tol = tol / 4
 

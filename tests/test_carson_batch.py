@@ -82,24 +82,29 @@ def test_single_s_is_the_batch_of_one(kind, params, s, tol, value, est_error, ev
 
 
 def test_one_cdf_pass_serves_every_cell(monkeypatch):
-    law = dm.make_catalog("freund", {"alpha": 1.0, "alpha_prime": 2.0, "beta": 1.5,
-                                     "beta_prime": 0.7})
-    points = []
-    cdf = dm.FreundJoint.cdf
+    laws = [
+        (dm.make_catalog("freund", {"alpha": 1.0, "alpha_prime": 2.0, "beta": 1.5,
+                                    "beta_prime": 0.7}), 3),
+        # a 1-D law batches on one axis: an atom seeds the grid beside a Gamma part
+        (dm.mixture([(0.3, dm.point_mass(0.7)), (0.7, dm.gamma_dist(1.5, 0.5))]), 2),
+    ]
+    for law, saving in laws:
+        points = []
+        cdf = type(law).cdf
 
-    def counted(self, x, y):
-        points.append(np.broadcast(x, y).size)
-        return cdf(self, x, y)
+        def counted(self, *xs, cdf=cdf, points=points):
+            points.append(np.broadcast(*xs).size)
+            return cdf(self, *xs)
 
-    monkeypatch.setattr(dm.FreundJoint, "cdf", counted)
-    fp = sj.compute_fingerprint(law, [PRIMES, PRIMES], 3, route="carson", tol=1e-8)
-    batched = sum(points)
-    points.clear()
-    for idx in np.ndindex(fp.values.shape):
-        sj.transform_value(law, [fp.grids[ax][i] for ax, i in enumerate(idx)],
-                           route="carson", tol=1e-8)
-    per_cell = sum(points)
-    assert 0 < 3 * batched <= per_cell
+        monkeypatch.setattr(type(law), "cdf", counted)
+        fp = sj.compute_fingerprint(law, [PRIMES] * law.dim, 3, route="carson", tol=1e-8)
+        batched = sum(points)
+        points.clear()
+        for idx in np.ndindex(fp.values.shape):
+            sj.transform_value(law, [fp.grids[ax][i] for ax, i in enumerate(idx)],
+                               route="carson", tol=1e-8)
+        per_cell = sum(points)
+        assert 0 < saving * batched <= per_cell, law
 
 
 @pytest.mark.parametrize("kind,params", _laws_2d()[:5])

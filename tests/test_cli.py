@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import numpy as np
 import pytest
@@ -128,6 +129,15 @@ def test_invert_numerical_failure_exit3(capsys):
     assert code == 3
     doc = json.loads(out)
     assert doc["error"] == "DerivativeUnavailable"
+
+
+@pytest.mark.parametrize("x,n", [("1e308", "4"), ("1e6", "64")])
+def test_invert_beyond_the_feller_budget_exits_2(capsys, x, n):
+    # n x overflows, or asks for 6.4e7 derivative terms: refused before any work
+    start = time.perf_counter()
+    code, out, err = run(capsys, "invert", "--spec", EXP_SPEC, "--x", x, "--n", n)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2 and out == "" and "budget" in err
 
 
 def test_precision_bits_env(capsys, monkeypatch):

@@ -39,8 +39,19 @@ def test_integrable_singularity():
 
 
 def test_nonconvergence_raises():
+    # a jump off every panel boundary only halves its panel each round, so
+    # the round budget runs out far above tol
+    import stieltjes._quadrature as q
+
+    calls = []
+
+    def jump(x):
+        calls.append(x.size)
+        return np.where(x < 1.0 / 3.0, 0.0, 1.0)
+
     with pytest.raises(QuadratureNonConvergence):
-        adaptive_quad(lambda x: np.cos(5000.0 * x), 0.0, 1.0, 1e-14, max_panels=8)
+        adaptive_quad(jump, 0.0, 1.0, 1e-14)
+    assert len(calls) == q._MAX_ROUNDS
 
 
 def test_tensor_product_exponentials():

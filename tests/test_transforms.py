@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stieltjes import dist_model as dm
@@ -265,8 +265,8 @@ def _atom_gamma(w, loc, rate, q):
 
 
 _LAWS_1D = st.one_of(
-    st.builds(dm.exponential, st.floats(0.2, 5.0)),
-    st.builds(dm.gamma_dist, st.floats(0.2, 5.0), st.floats(0.3, 3.0)),
+    st.builds(dm.exponential, st.floats(0.2, 10.0)),
+    st.builds(dm.gamma_dist, st.floats(0.2, 10.0), st.floats(0.3, 3.0)),
     st.builds(dm.positive_stable, st.sampled_from([0.5, 0.7])),
     st.builds(dm.point_mass, st.floats(0.0, 3.0)),
     # a density with an x^{q-1} singularity at 0 next to an atom
@@ -276,10 +276,21 @@ _LAWS_1D = st.one_of(
 
 
 @settings(max_examples=120, deadline=None, derandomize=True)
-@given(dist=_LAWS_1D, s=st.floats(0.1, 10.0),
+@given(dist=_LAWS_1D, s=st.floats(0.02, 50.0),
        route=st.sampled_from(["direct", "carson", "survival"]),
        tol=st.sampled_from([1e-6, 1e-8, 1e-10]))
+# the Carson tail bound e^{-sT} is exact for an atom, so without the rounding
+# term est_error reads 1.25000000000000e-09 + 3.3e-24 against a gap of
+# 1.25000000000000e-09 + 8.7e-24
+@example(dist=dm.point_mass(0.3904260723960641), s=47.48626951322907,
+         route="carson", tol=1e-8)
+# a signed sum of panel differences read 3.1e-11 here against a gap of 4.2e-10
+@example(dist=dm.gamma_dist(0.3135203195017496, 1.6560290829899773),
+         s=0.0398789144002979, route="carson", tol=1e-10)
 def test_est_error_bounds_the_error(dist, s, route, tol):
+    # s/lambda below 0.02 puts the law's mass under the first panel, a grid
+    # defect of its own (ROADMAP item 1)
+    assume(s >= 0.02 * (dist.params or {}).get("lambda", 0.0))
     tv = tr.transform_value(dist, s, route=route, tol=tol)
     closed = tr.closed_form_ls(dist, s)
     assert abs(tv.value - closed.value) <= tv.est_error + closed.est_error
