@@ -1,9 +1,10 @@
 """Nonnegative distributions with atoms, densities, and singular parts.
 
 Univariate laws are atom lists plus an absolutely continuous part; joint laws
-(dim 2..4) come from a small catalog: independent products, Marshall-Olkin,
-Freund, Moran-Downton, bivariate lack-of-memory (with its singular diagonal),
-and bivariate/trivariate Gamma series families.  Every law exposes CDF,
+come from a small catalog: independent products of any dimension >= 2,
+Marshall-Olkin, Freund, bivariate lack-of-memory (with its singular
+diagonal), and the Gamma series families, Kibble's bivariate Gamma (of which
+Moran-Downton is a case) and the trivariate Gamma.  Every law exposes CDF,
 survival, and marginals of every order; catalog entries also carry their
 closed-form Laplace-Stieltjes transform.
 
@@ -384,20 +385,16 @@ def gamma_dist(lam: float, q: float) -> Distribution1D:
     lam, q = float(lam), float(q)
     lognorm = q * math.log(lam) - math.lgamma(q)
     m = math.ceil(q) - 1
+    f0 = 0.0 if q > 1 else lam if q == 1 else math.inf
 
     def density(x):
         x = np.asarray(x, dtype=float)
         with np.errstate(divide="ignore", invalid="ignore"):
             logd = lognorm + (q - 1.0) * np.log(x) - lam * x
-            out = np.where(x > 0, np.exp(logd), 0.0)
+            # x = 0 takes the limit f0: the log form reads 0 * log 0 = NaN at q = 1
+            out = np.where(x > 0, np.exp(logd), np.where(x == 0, f0, 0.0))
         return out
 
-    if q > 1:
-        f0 = 0.0
-    elif q == 1:
-        f0 = lam
-    else:
-        f0 = math.inf
     return Distribution1D(
         ac_weight=1.0,
         ac_density=density,
@@ -680,7 +677,7 @@ def mixture(components: Sequence[tuple[float, Distribution1D]]) -> Distribution1
 
 
 class JointDist:
-    """Base for n-dimensional laws (n in {2,3,4}).
+    """Base for n-dimensional laws, n >= 2.
 
     Subclasses provide either ``separable_terms`` (the CDF and survival
     function as finite sums of products of 1-D functions, from which the
@@ -742,8 +739,8 @@ class ProductJoint(JointDist):
     kind = "product"
 
     def __init__(self, factors: Sequence[Distribution1D]):
-        if not 2 <= len(factors) <= 4:
-            raise ParameterOutOfRange("product: dimension must lie in {2, 3, 4}")
+        if len(factors) < 2:
+            raise ParameterOutOfRange("product: dimension must be at least 2")
         self.factors = tuple(factors)
         self.dim = len(factors)
 
@@ -1053,8 +1050,8 @@ class BlmJoint(JointDist):
 class GammaSeriesJoint(JointDist):
     """Law of the form sum_t c_t prod_i Gamma(shapes[i, t], rates[i]), all
     coefficients nonnegative and summing to 1 up to `series_tail`.  Covers
-    Moran-Downton, the standard bivariate Gamma, the trivariate Gamma and
-    every marginal of these of order two or more.
+    Kibble's bivariate Gamma (Moran-Downton included), the trivariate Gamma
+    and every marginal of these of order two or more.
     """
 
     def __init__(self, coeffs, shapes, rates, tail, kind, params):
@@ -1112,78 +1109,55 @@ def _geometric_tail(first_omitted: float, ratio_sup: float) -> float:
     return first_omitted / (1.0 - ratio_sup)
 
 
-class _MoranDowntonJoint(GammaSeriesJoint):
-    """Moran-Downton bivariate exponential; marginals are exactly Exp(1)."""
+class _KibbleMoranJoint(GammaSeriesJoint):
+    """Kibble's bivariate Gamma, sum_n c_n Gamma(q + n, lam)^2 with weights
+    c_n = (1 - r)^q (q)_n r^n / n! and lam = mu/(1 - r): marginals
+    Gamma(mu, q).  Moran-Downton is q = 1, mu = 1.  The series stops below
+    1e-15 or at 4000 terms, refuses r where the bound on what it leaves out
+    exceeds 1e-10, and folds that mass into its last term."""
+
+    def __init__(self, kind, params, r, q, mu):
+        if not 0 <= r < 1:
+            raise ParameterOutOfRange(f"{kind}: r must lie in [0, 1)")
+        if not _finite_positive(q):
+            raise ParameterOutOfRange(f"{kind}: q must be finite and > 0")
+        self.r, self.q, self.mu = r, q, mu = float(r), float(q), float(mu)
+        coeffs = [(1.0 - r) ** q]
+        n = 0
+        while (coeffs[-1] > 1e-15 or n < 2) and n <= 4000:
+            coeffs.append(coeffs[-1] * r * (q + n) / (n + 1.0))
+            n += 1
+        tail = _geometric_tail(coeffs[-1], r * max(1.0, (q + n) / (n + 1.0))) if r > 0 else 0.0
+        if tail > 1e-10:
+            raise ParameterOutOfRange(f"{kind}: r too close to 1 for the series truncation bound")
+        coeffs = np.asarray(coeffs[:-1] if r > 0 else coeffs[:1])
+        coeffs[-1] += max(0.0, 1.0 - coeffs.sum())
+        shapes = q + np.arange(len(coeffs), dtype=float)
+        # 1/(1 - r) for Moran-Downton, exactly 1 for the bivariate Gamma
+        lam = mu / (1.0 - r)
+        super().__init__(coeffs, [shapes, shapes], [lam, lam], tail, kind,
+                         {k: float(v) for k, v in params.items()})
 
     def marginal(self, indices):
         if indices in ((0,), (1,)):
-            return exponential(1.0)
-        raise MissingMarginal(f"moran-downton: no marginal {indices}")
+            return gamma_dist(self.mu, self.q)
+        raise MissingMarginal(f"{self.kind}: no marginal {indices}")
 
     def closed_ls(self, s):
-        r = self.params["r"]
-        return 1.0 / ((1.0 + s[0]) * (1.0 + s[1]) - r * s[0] * s[1]), 0.0
+        # ((1 - r) / (prod(1 + s_i/lam) - r))^q; expm1 keeps it from cancelling as r -> 1
+        grow = math.expm1(sum(math.log1p(float(si) / self.rates[0]) for si in s))
+        return ((1.0 - self.r) / ((1.0 - self.r) + grow)) ** self.q, 0.0
 
 
 def moran_downton(r: float) -> GammaSeriesJoint:
-    if not 0 <= r < 1:
-        raise ParameterOutOfRange("moran-downton: r must lie in [0, 1)")
-    r = float(r)
-    c = 1.0 / (1.0 - r)
-    if r == 0.0:
-        n_terms, tail = 1, 0.0
-    else:
-        n_terms = max(2, int(math.ceil(math.log(1e-14) / math.log(r))) + 1)
-        tail = _geometric_tail((1.0 - r) * r**n_terms, r)
-        if n_terms > 4000 or tail > 1e-10:
-            raise ParameterOutOfRange(
-                "moran-downton: r too close to 1 for the series truncation bound"
-            )
-    k = np.arange(n_terms)
-    coeffs = (1.0 - r) * r**k
-    shapes = (k + 1).astype(float)
-    return _MoranDowntonJoint(
-        coeffs, [shapes, shapes], [c, c], tail, "moran-downton", {"r": r}
-    )
-
-
-class _BivariateGammaJoint(GammaSeriesJoint):
-    """Standard bivariate Gamma; marginals are Gamma(rate 1-r, shape q)."""
-
-    def marginal(self, indices):
-        if indices in ((0,), (1,)):
-            return gamma_dist(1.0 - self.params["r"], self.params["q"])
-        raise MissingMarginal(f"bivariate-gamma: no marginal {indices}")
-
-    def closed_ls(self, s):
-        r, q = self.params["r"], self.params["q"]
-        return ((1.0 - r) / ((1.0 + s[0]) * (1.0 + s[1]) - r)) ** q, 0.0
+    """Moran-Downton bivariate exponential: Kibble's law with q = 1 and Exp(1)
+    marginals."""
+    return _KibbleMoranJoint("moran-downton", {"r": r}, r, 1.0, 1.0)
 
 
 def bivariate_gamma(r: float, q: float) -> GammaSeriesJoint:
-    if not 0 <= r < 1:
-        raise ParameterOutOfRange("bivariate-gamma: r must lie in [0, 1)")
-    if not _finite_positive(q):
-        raise ParameterOutOfRange("bivariate-gamma: q must be finite and > 0")
-    r, q = float(r), float(q)
-    coeffs = [(1.0 - r) ** q]
-    n = 0
-    while coeffs[-1] > 1e-15 or n < 2:
-        coeffs.append(coeffs[-1] * r * (q + n) / (n + 1.0))
-        n += 1
-        if n > 4000:
-            break
-    ratio_sup = r * max(1.0, (q + n) / (n + 1.0))
-    tail = _geometric_tail(coeffs[-1], ratio_sup) if r > 0 else 0.0
-    if tail > 1e-10:
-        raise ParameterOutOfRange(
-            "bivariate-gamma: r too close to 1 for the series truncation bound"
-        )
-    coeffs = np.asarray(coeffs[:-1] if r > 0 else coeffs[:1])
-    shapes = q + np.arange(len(coeffs), dtype=float)
-    return _BivariateGammaJoint(
-        coeffs, [shapes, shapes], [1.0, 1.0], tail, "bivariate-gamma", {"r": r, "q": q}
-    )
+    """Standard bivariate Gamma: Kibble's law with Gamma(1 - r, q) marginals."""
+    return _KibbleMoranJoint("bivariate-gamma", {"r": r, "q": q}, r, q, 1.0 - r)
 
 
 # highest row order n of the trivariate Gamma double series
@@ -1272,16 +1246,15 @@ _register("blm", ["theta", "f_lambda", "g_lambda"],
 
 def _product_exponential(p: dict):
     names = [f"lambda{i}" for i in range(1, len(p) + 1)]
-    if not 2 <= len(p) <= 4 or set(p) != set(names):
+    if len(p) < 2 or set(p) != set(names):
         raise ParameterOutOfRange(
-            "product-exponential: needs exactly lambda1..lambdaN with N in "
-            f"{{2, 3, 4}} (got {sorted(p)})"
+            f"product-exponential: needs exactly lambda1..lambdaN with N >= 2 (got {sorted(p)})"
         )
     return ProductJoint([exponential(p[k]) for k in names])
 
 
-_register("product-exponential", ["lambda1", "lambda2", "[lambda3]", "[lambda4]"],
-          "2 to 4 positive rates", _product_exponential)
+_register("product-exponential", ["lambda1", "lambda2", "[lambda3..lambdaN]"],
+          "N >= 2, all rates > 0", _product_exponential)
 
 
 def catalog_names() -> list[str]:

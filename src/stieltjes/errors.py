@@ -22,7 +22,8 @@ class QuadratureNonConvergence(StieltjesError):
 
 
 class DimensionTooLarge(StieltjesError):
-    """Tensor quadrature is capped at four dimensions."""
+    """The survival route, whose 2^d - 2 marginal transforms double with each
+    axis, is limited to dimension 12."""
 
 
 class MissingMarginal(StieltjesError):

@@ -120,7 +120,7 @@ def _ls_survival_1d(dist: Distribution1D, s: float, tol: float) -> TransformValu
 
 
 # ---------------------------------------------------------------------------
-# Carson route (any dimension <= 4)
+# Carson route (any dimension; the quadrature's point budget bounds the work)
 
 
 def _exp_rows(rates, x):
@@ -174,9 +174,11 @@ def _carson_integral(dist, s_axes, tol, use_survival=False):
     and tail have the batch shape (len(s_axes[0]), ...).  Each cell's
     quadrature error is held to `tol`, and each axis is truncated where the
     smallest s on it has its tail within `tol`; the tail bound is taken at
-    that shared length.  Panels are graded for the largest s.  A 1-D law's
-    atoms seed its axis; 2-D kinds with a diagonal kink are split into
-    triangles along {x = y} first.
+    that shared length, plus the law's `series_tail` (mass its truncated
+    series misplaces, which moves either integral by at most that much).
+    Panels are graded for the largest s.  A 1-D law's atoms seed its axis;
+    2-D kinds with a diagonal kink are split into triangles along {x = y}
+    first.
     """
     dim = len(s_axes)
     point_fn = dist.survival if use_survival else dist.cdf
@@ -211,6 +213,7 @@ def _carson_integral(dist, s_axes, tol, use_survival=False):
         r = tensor_quad(_weighted_cdf_eval(dist, s_axes, use_survival), axes, cell_tol[None])
         val, err, evals = r.value[0], r.error[0], r.evaluations
     tail = sum(np.exp(-g * T) for g, T in zip(grids, Ts))
+    tail = tail + getattr(dist, "series_tail", 0.0)
     return prod_s * val, prod_s * err, evals, tail
 
 
@@ -246,11 +249,15 @@ def ls_carson_grid(dist, s_axes, tol: float = DEFAULT_TOL):
     return value, err + tail, evals
 
 
-def _check_dim(dist, n: int):
+# the survival route takes 2^n - 2 marginal transforms
+_MAX_SURVIVAL_DIM = 12
+
+
+def _check_dim(dist, n: int, survival: bool = False):
     if n != dist.dim:
         raise ParameterOutOfRange(f"s has dimension {n}, distribution has {dist.dim}")
-    if dist.dim > 4:
-        raise DimensionTooLarge("tensor quadrature is capped at dimension 4")
+    if survival and n > _MAX_SURVIVAL_DIM:
+        raise DimensionTooLarge(f"the survival route is limited to dimension {_MAX_SURVIVAL_DIM}")
 
 
 def _survival_identity(dist, svec, tol):
@@ -260,7 +267,9 @@ def _survival_identity(dist, svec, tol):
     The right side is one survival integral at tol/2.  The left side, without
     its full-transform term (-1)^n L(s), is 1 plus (-1)^|S| L_S(s_S) over the
     2^n - 2 proper marginals S, each by route 'auto', sharing the other tol/2
-    evenly.  Returns (TransformValue of (-1)^n (right - left), left, right).
+    evenly; it is summed exactly rounded, and its error adds the rounding of
+    that sum and of right - left.  Returns (TransformValue of
+    (-1)^n (right - left), left, right).
     """
     n = len(svec)
     val, err, evals, tail = _carson_integral(
@@ -268,16 +277,15 @@ def _survival_identity(dist, svec, tol):
     )
     right, est = val.item(), (err + tail).item()
     subsets = [c for k in range(1, n) for c in itertools.combinations(range(n), k)]
-    left = 1.0
+    terms = [1.0]
     for subset in subsets:
         tv = transform_value(dist.marginal(subset), [svec[i] for i in subset],
                              route="auto", tol=tol / (2 * len(subsets)))
-        left += (-1.0) ** len(subset) * tv.value
+        terms.append((-1.0) ** len(subset) * tv.value)
         est += tv.est_error
         evals += tv.evaluations
-    # closed forms of mixture marginals are numpy scalars; values stay plain
-    # floats so reports serialise as JSON
-    left = float(left)
+    left = math.fsum(terms)
+    est += 2.0 * math.ulp(1.0) * (math.fsum(map(abs, terms)) + abs(right))
     value = (-1.0) ** n * (right - left)
     return TransformValue(value, est, "survival", evals), left, right
 
@@ -290,7 +298,7 @@ def ls_survival_route(dist, *s, tol: float = 1e-8) -> TransformValue:
     _check_tol(tol)
     svec = _as_svec(s)
     _check_s(svec)
-    _check_dim(dist, len(svec))
+    _check_dim(dist, len(svec), survival=True)
     return _survival_identity(dist, svec, tol)[0]
 
 
@@ -396,7 +404,7 @@ def verify_identity(dist, s, tol: float = 1e-8) -> IdentityReport:
     _check_tol(tol)
     svec = _as_svec(s)
     _check_s(svec)
-    _check_dim(dist, len(svec))
+    _check_dim(dist, len(svec), survival=True)
     joint = not isinstance(dist, Distribution1D)
     rep = IdentityReport(dim=len(svec), s=svec, tol=tol)
     quad_tol = tol / 4

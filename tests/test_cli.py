@@ -250,6 +250,27 @@ def _strict_json(text):
     return json.loads(text, parse_constant=reject)
 
 
+def _product_spec(n):
+    return json.dumps({"kind": "product-exponential",
+                       "params": {f"lambda{i}": float(i) for i in range(1, n + 1)}})
+
+
+def test_transform_beyond_dimension_4_cli(capsys):
+    code, out, err = run(capsys, "transform", "--spec", _product_spec(6),
+                         "--s", ",".join(["1"] * 6), "--route", "carson", "--tol", "1e-8")
+    assert code == 0, err
+    doc = _strict_json(out)
+    expect = math.prod(i / (i + 1.0) for i in range(1, 7))
+    assert abs(doc["value"] - expect) <= doc["est_error"]
+
+
+def test_verify_identity_beyond_the_survival_limit_exits_2(capsys):
+    code, out, err = run(capsys, "verify-identity", "--spec", _product_spec(13),
+                         "--s", ",".join(["1"] * 13))
+    assert code == 2 and out == ""
+    assert "12" in err
+
+
 def test_transform_survival_trivariate_cli(capsys):
     params = {"alpha": 1.0, "a": 0.5, "b": 0.5}
     tg = json.dumps({"kind": "trivariate-gamma", "params": params})

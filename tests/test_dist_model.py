@@ -1,6 +1,7 @@
 import itertools
 import math
 import warnings
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -115,6 +116,27 @@ def test_catalog_listing():
     assert "exponential" in names and "trivariate-gamma" in names
     info = dm.catalog_info("gamma")
     assert info["params"] == ["lambda", "q"]
+
+
+def _readme_catalog_rows():
+    """kind -> (params, constraints) cells of the README catalog table, with
+    the backticks of code spans taken out."""
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    table = readme.split("| kind | params | constraints |\n")[1].split("\n\n")[0]
+    rows = {}
+    for line in table.splitlines()[1:]:  # below the |---| line
+        kind, params, constraints = (c.strip().replace("`", "")
+                                     for c in line.strip("|").split("|"))
+        rows[kind] = (params, constraints)
+    return rows
+
+
+def test_readme_catalog_table_matches_the_catalog():
+    rows = _readme_catalog_rows()
+    assert sorted(rows) == dm.catalog_names()
+    for name in dm.catalog_names():
+        info = dm.catalog_info(name)
+        assert rows[name] == (", ".join(info["params"]), info["constraints"]), name
 
 
 # ---------------------------------------------------------------------------
@@ -540,6 +562,19 @@ def test_freund_cdf_matches_density_integral():
 def test_gamma_series_tail_rejection():
     with pytest.raises(ParameterOutOfRange, match="series"):
         dm.moran_downton(0.99999)
+
+
+def test_moran_downton_marginal_is_exponential():
+    marg, expo = dm.moran_downton(0.6).marginal((1,)), dm.exponential(1.0)
+    x = np.array([0.0, 1e-9, 0.3, 1.0, 7.5, 40.0])
+    assert np.array_equal(marg.cdf(x), expo.cdf(x))
+    assert np.array_equal(marg.density(x), expo.density(x))
+    assert marg.density(0.0) == 1.0
+    for s in (0.1, 1.0, 13.0):
+        assert marg.closed_ls(s) == expo.closed_ls(s)
+    assert marg.density_at_zero == expo.density_at_zero == 1.0
+    # the bivariate Gamma at q = 1 has Gamma(1 - r, 1) marginals
+    assert dm.bivariate_gamma(0.6, 1.0).marginal((0,)).density(0.0) == 1.0 - 0.6
 
 
 def test_spec_dict_round_trip_kinds():
