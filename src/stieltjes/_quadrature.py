@@ -267,8 +267,8 @@ def tensor_quad(
     is too large to form whole, an uncounted one-point call first tells
     which form the integrand takes.
     Each member's error estimate swaps the embedded Gauss weights onto one
-    axis at a time (on a single axis, panel by panel in absolute value), and
-    rounds go on until the sum over axes meets every member's own tolerance;
+    axis at a time, adding that axis's panels in absolute value, and rounds
+    go on until the sum over axes meets every member's own tolerance;
     the reported error adds a rounding term to that sum.  Refinement attributes
     each axis error to its panels and splits only the offending ones, so
     corner singularities deepen locally instead of doubling whole axes: on
@@ -323,15 +323,11 @@ def tensor_quad(
 
         tols = np.reshape(tol, len(u[0]))
         ik = u[0] @ wks[0]
-        if dim == 1:
-            # one axis adds its panels' differences in absolute value: a
-            # signed sum can cancel far below the true error (a Gamma Carson
-            # value at s = 0.04, tol 1e-10 read 3.1e-11 against a gap of
-            # 4.2e-10).  Joint laws keep the signed sum per axis, so their
-            # grids and bounds do not move.
-            errs = [np.abs(_panel_diffs(u[0], dws[0])).sum(axis=1)]
-        else:
-            errs = [np.abs(u[j] @ dws[j]) for j in range(dim)]
+        # each axis adds its panels' differences in absolute value: a signed
+        # sum can cancel far below the true error (a Gamma Carson value at
+        # s = 0.04, tol 1e-10 read 3.1e-11 against a gap of 4.2e-10)
+        diffs = [np.abs(_panel_diffs(u[j], dws[j])) for j in range(dim)]
+        errs = [dj.sum(axis=1) for dj in diffs]
         err = sum(errs)
         if np.all(err <= tols):
             err = err + _ROUNDING_ULPS * np.finfo(float).eps * (np.abs(u[0]) @ wks[0])
@@ -345,8 +341,7 @@ def tensor_quad(
             if not members.any():
                 continue
             # scaled to the tightest tolerance, so one member keeps its raw errors
-            panel_errs = (np.abs(_panel_diffs(u[j][members], dws[j]))
-                          * (tols.min() / tols[members])[:, None])
+            panel_errs = diffs[j][members] * (tols.min() / tols[members])[:, None]
             breaks[j] = _split_panels(breaks[j], panel_errs.max(axis=0))
 
     worst = int(np.argmax(err / tols))

@@ -1,12 +1,13 @@
 """Nonnegative distributions with atoms, densities, and singular parts.
 
 Univariate laws are atom lists plus an absolutely continuous part; joint laws
-come from a small catalog: independent products of any dimension >= 2,
-Marshall-Olkin, Freund, bivariate lack-of-memory (with its singular
-diagonal), and the Gamma series families, Kibble's bivariate Gamma (of which
-Moran-Downton is a case) and the trivariate Gamma.  Every law exposes CDF,
-survival, and marginals of every order; catalog entries also carry their
-closed-form Laplace-Stieltjes transform.
+come from a small catalog: independent products of any dimension >= 2, the
+bivariate lack-of-memory law S(y + w, y) = e^{-theta y} Fbar(w) (with its
+singular diagonal; Marshall-Olkin and Freund are two of its cases), and the
+Gamma series families, Kibble's bivariate Gamma (of which Moran-Downton is a
+case) and the trivariate Gamma.  Every law exposes CDF, survival, and
+marginals of every order; catalog entries also carry their closed-form
+Laplace-Stieltjes transform.
 
 The positive stable law exp(-s^alpha) has its own kernel for the CDF and
 density: Pollard's convergent series in the tail and Kanter's integral over
@@ -44,28 +45,6 @@ _TERM_BLOCK = 1 << 20
 def _finite_positive(*vals) -> bool:
     """True when every value is finite and > 0; NaN fails."""
     return all(math.isfinite(v) and v > 0 for v in vals)
-
-
-def _exp_em1ratio(u, c, t):
-    """exp(u) * (1 - exp(-c*t)) / c  ==  (exp(u) - exp(u - c*t)) / c.
-
-    Stable as c -> 0 (limit exp(u)*t) and overflow-free provided both
-    exponents u and u - c*t are <= 0, which the callers guarantee.
-    Broadcasts.
-    """
-    u = np.asarray(u, dtype=float)
-    c = np.asarray(c, dtype=float)
-    t = np.asarray(t, dtype=float)
-    small = np.abs(c) * np.maximum(np.abs(t), 1.0) < 1e-8
-    csafe = np.where(small, 1.0, c)
-    out = np.where(
-        small,
-        np.exp(u) * t * (1.0 - 0.5 * c * t),
-        (np.exp(u) - np.exp(u - csafe * t)) / csafe,
-    )
-    if out.ndim == 0:
-        return float(out)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -256,9 +235,11 @@ class Distribution1D:
         saturates to 1 on its own); both vectorized over numpy arrays.
     transform_terms : list of tuples or None
         Closed-form transform description, one tuple per component:
-        ``("atom", mass, loc)``, ``("gamma", weight, rate, shape)`` or
-        ``("stable", weight, alpha)``.  Used for the closed-form route and
-        for synthesizing exact transform derivatives.
+        ``("atom", mass, loc)``, ``("gamma", weight, rate, shape)``,
+        ``("hypoexp", weight, a, b)`` (the sum of independent Exp(a) and
+        Exp(b), transform ab/((a+s)(b+s)), which does not cancel as b -> a)
+        or ``("stable", weight, alpha)``.  Used for the closed-form route
+        and for synthesizing exact transform derivatives.
     """
 
     def __init__(
@@ -303,10 +284,14 @@ class Distribution1D:
 
     def cdf(self, x):
         x = np.asarray(x, dtype=float)
-        out = np.zeros_like(x)
         if self.ac_weight > 0:
             out = self.ac_weight * np.asarray(self.ac_cdf(np.maximum(x, 0.0)))
-            out = np.where(x < 0, 0.0, out)
+            # quadrature nodes are never negative: skip the mask where none is
+            below = x < 0
+            if below.any():
+                out = np.where(below, 0.0, out)
+        else:
+            out = np.zeros_like(x)
         for loc, mass in self.atoms:
             out = out + mass * (x >= loc)
         return float(out) if out.ndim == 0 else out
@@ -335,6 +320,9 @@ class Distribution1D:
             elif term[0] == "gamma":
                 _, w, rate, shape = term
                 total += w * (rate / (rate + s)) ** shape
+            elif term[0] == "hypoexp":
+                _, w, a, b = term
+                total += w * a * b / ((a + s) * (b + s))
             elif term[0] == "stable":
                 _, w, alpha = term
                 total += w * math.exp(-(s**alpha))
@@ -776,162 +764,6 @@ class ProductJoint(JointDist):
         raise ValueError("only all-exponential products are serializable")
 
 
-class MarshallOlkinJoint(JointDist):
-    """Bivariate exponential with a common shock: survival
-    exp(-l1*x - l2*y - l12*max(x, y))."""
-
-    kind = "marshall-olkin"
-    diagonal_seam = True
-    dim = 2
-
-    def __init__(self, lambda1: float, lambda2: float, lambda12: float):
-        if not _finite_positive(lambda1, lambda2, lambda12):
-            raise ParameterOutOfRange(
-                "marshall-olkin: lambda1, lambda2, lambda12 must all be finite and > 0"
-            )
-        self.l1, self.l2, self.l12 = float(lambda1), float(lambda2), float(lambda12)
-        self.params = {"lambda1": self.l1, "lambda2": self.l2, "lambda12": self.l12}
-
-    def survival(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.exp(-self.l1 * x - self.l2 * y - self.l12 * np.maximum(x, y))
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        fx = -np.expm1(-(self.l1 + self.l12) * x)
-        gy = -np.expm1(-(self.l2 + self.l12) * y)
-        out = self.survival(x, y) - 1.0 + fx + gy
-        return float(out) if out.ndim == 0 else out
-
-    def marginal(self, indices):
-        if indices == (0,):
-            return exponential(self.l1 + self.l12)
-        if indices == (1,):
-            return exponential(self.l2 + self.l12)
-        raise MissingMarginal(f"marshall-olkin: no marginal {indices}")
-
-    def closed_ls(self, s):
-        si, ti = float(s[0]), float(s[1])
-        lam = self.l1 + self.l2 + self.l12
-        num = (lam + si + ti) * (self.l1 + self.l12) * (self.l2 + self.l12)
-        num += si * ti * self.l12
-        den = (lam + si + ti) * (self.l1 + self.l12 + si) * (self.l2 + self.l12 + ti)
-        return num / den, 0.0
-
-
-class FreundJoint(JointDist):
-    """Freund's bivariate exponential: component failure shifts the
-    survivor's rate (alpha -> alpha' when Y fails first, beta -> beta')."""
-
-    kind = "freund"
-    diagonal_seam = True
-    dim = 2
-
-    def __init__(self, alpha: float, alpha_prime: float, beta: float, beta_prime: float):
-        if not _finite_positive(alpha, alpha_prime, beta, beta_prime):
-            raise ParameterOutOfRange("freund: all four rates must be finite and > 0")
-        self.a, self.ap = float(alpha), float(alpha_prime)
-        self.b, self.bp = float(beta), float(beta_prime)
-        self.params = {
-            "alpha": self.a,
-            "alpha_prime": self.ap,
-            "beta": self.b,
-            "beta_prime": self.bp,
-        }
-
-    def density(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        A = self.a + self.b
-        lower = self.ap * self.b * np.exp(-(A - self.ap) * y - self.ap * x)
-        upper = self.a * self.bp * np.exp(-(A - self.bp) * x - self.bp * y)
-        out = np.where(x > y, lower, upper)
-        out = np.where((x <= 0) | (y <= 0), 0.0, out)
-        return float(out) if out.ndim == 0 else out
-
-    def cdf(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        A = self.a + self.b
-        lo = np.minimum(x, y)
-        # H(x,y) = 1 - e^{-A min} - a e^{-bp y} g(A-bp, min) - b e^{-ap x} g(A-ap, min)
-        # with g(c, u) = (1 - e^{-cu})/c; valid on both sides of the diagonal.
-        out = (
-            -np.expm1(-A * lo)
-            - self.a * _exp_em1ratio(-self.bp * y, A - self.bp, lo)
-            - self.b * _exp_em1ratio(-self.ap * x, A - self.ap, lo)
-        )
-        out = np.where((x <= 0) | (y <= 0), 0.0, np.maximum(out, 0.0))
-        return float(out) if out.ndim == 0 else out
-
-    def survival(self, x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        A = self.a + self.b
-        lo = np.minimum(x, y)
-        hi = np.maximum(x, y)
-        ge = x >= y  # on the x-majorized side the survivor is X with rate alpha'
-        surv_lower = np.exp(-A * hi) + self.b * (
-            _exp_em1ratio(-self.ap * hi, A - self.ap, hi)
-            - _exp_em1ratio(-self.ap * hi, A - self.ap, lo)
-        )
-        surv_upper = np.exp(-A * hi) + self.a * (
-            _exp_em1ratio(-self.bp * hi, A - self.bp, hi)
-            - _exp_em1ratio(-self.bp * hi, A - self.bp, lo)
-        )
-        out = np.where(ge, surv_lower, surv_upper)
-        return float(out) if out.ndim == 0 else out
-
-    def marginal(self, indices):
-        A = self.a + self.b
-
-        if indices == (0,):
-            rate_changed, other = self.ap, self.b
-        elif indices == (1,):
-            rate_changed, other = self.bp, self.a
-        else:
-            raise MissingMarginal(f"freund: no marginal {indices}")
-
-        def cdf(x, _A=A, _r=rate_changed, _o=other):
-            x = np.asarray(x, dtype=float)
-            return -np.expm1(-_A * x) - _o * _exp_em1ratio(-_r * x, _A - _r, x)
-
-        def dens(x, _A=A, _r=rate_changed, _o=other):
-            x = np.asarray(x, dtype=float)
-            return _A * np.exp(-_A * x) - _o * (
-                np.exp(-_A * x) - _r * _exp_em1ratio(-_r * x, _A - _r, x)
-            )
-
-        # each marginal is a signed combination of Exp(A) and Exp(r') tails:
-        # Fbar(x) = (1 - o/(A - r)) e^{-Ax} + o/(A - r) e^{-rx}
-        c = A - rate_changed
-        if abs(c) > 1e-10:
-            w2 = other / c
-            terms = [
-                ("gamma", 1.0 - w2, A, 1.0),
-                ("gamma", w2, rate_changed, 1.0),
-            ]
-        else:
-            terms = None
-        return Distribution1D(
-            ac_weight=1.0,
-            ac_density=dens,
-            ac_cdf=cdf,
-            transform_terms=terms,
-        )
-
-    def closed_ls(self, s):
-        si, ti = float(s[0]), float(s[1])
-        A = self.a + self.b
-        val = (
-            self.ap * self.b / (self.ap + si) + self.a * self.bp / (self.bp + ti)
-        ) / (A + si + ti)
-        return val, 0.0
-
-
 # -- bivariate lack-of-memory -------------------------------------------------
 
 
@@ -979,25 +811,44 @@ def _density_at_zero(d: Distribution1D) -> float:
 
 
 def blm_survival(spec: BlmSpec, x, y):
-    """Joint survival of the lack-of-memory law; both branches agree on x=y."""
+    """Joint survival of the lack-of-memory law: e^{-theta y} Fbar(x - y) on
+    x >= y and e^{-theta x} Gbar(y - x) on y > x; both agree on x = y.  A
+    call that lies wholly on one side, as on a seam triangle, evaluates that
+    side only."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    lower = np.exp(-spec.theta * y) * spec.F.survival(np.maximum(x - y, 0.0))
-    upper = np.exp(-spec.theta * x) * spec.G.survival(np.maximum(y - x, 0.0))
-    out = np.where(x >= y, lower, upper)
+
+    def side(d, near, far):  # e^{-theta near} Dbar(far - near)
+        return np.exp(-spec.theta * near) * d.survival(far - near)
+
+    ge = x >= y
+    if ge.all():
+        out = side(spec.F, y, x)
+    elif not ge.any():
+        out = side(spec.G, x, y)
+    else:
+        out = np.where(ge, side(spec.F, y, x), side(spec.G, x, y))
     return float(out) if out.ndim == 0 else out
 
 
 class BlmJoint(JointDist):
-    """Lack-of-memory law as a joint distribution (singular diagonal mass)."""
+    """Lack-of-memory law as a joint distribution (singular diagonal mass).
 
-    kind = "blm"
+    Marshall-Olkin and Freund are built as such laws, with their own `kind`
+    and `params`; a law with exponential marginals and no params serializes
+    as kind 'blm'.
+    """
+
     diagonal_seam = True
     dim = 2
 
-    def __init__(self, spec: BlmSpec):
+    def __init__(self, spec: BlmSpec, kind: str = "blm", params: dict | None = None):
         self.spec = spec
-        self.params = None
+        self.kind = kind
+        self.params = params
+        if params is None and spec.F.catalog_id == spec.G.catalog_id == "exponential":
+            self.params = {"theta": spec.theta, "f_lambda": spec.F.params["lambda"],
+                           "g_lambda": spec.G.params["lambda"]}
 
     def survival(self, x, y):
         return blm_survival(self.spec, x, y)
@@ -1016,7 +867,7 @@ class BlmJoint(JointDist):
             return self.spec.F
         if indices == (1,):
             return self.spec.G
-        raise MissingMarginal(f"blm: no marginal {indices}")
+        raise MissingMarginal(f"{self.kind}: no marginal {indices}")
 
     def closed_ls(self, s):
         si, ti = float(s[0]), float(s[1])
@@ -1028,20 +879,60 @@ class BlmJoint(JointDist):
         val = ((th + si) * lf + (th + ti) * lg - th) / (th + si + ti)
         return val, 0.0
 
-    def spec_dict(self):
-        if (
-            self.spec.F.catalog_id == "exponential"
-            and self.spec.G.catalog_id == "exponential"
-        ):
-            return {
-                "kind": "blm",
-                "params": {
-                    "theta": self.spec.theta,
-                    "f_lambda": self.spec.F.params["lambda"],
-                    "g_lambda": self.spec.G.params["lambda"],
-                },
-            }
-        raise ValueError("only exponential-marginal BLM specs are serializable")
+
+def marshall_olkin(lambda1: float, lambda2: float, lambda12: float) -> BlmJoint:
+    """Marshall-Olkin bivariate exponential with a common shock, survival
+    exp(-l1 x - l2 y - l12 max(x, y)): the lack-of-memory law with
+    theta = l1 + l2 + l12 and marginals Exp(l1 + l12), Exp(l2 + l12); its
+    diagonal carries p = l12/theta."""
+    if not _finite_positive(lambda1, lambda2, lambda12):
+        raise ParameterOutOfRange(
+            "marshall-olkin: lambda1, lambda2, lambda12 must all be finite and > 0"
+        )
+    l1, l2, l12 = float(lambda1), float(lambda2), float(lambda12)
+    spec = BlmSpec(exponential(l1 + l12), exponential(l2 + l12), l1 + l2 + l12)
+    return BlmJoint(spec, "marshall-olkin", {"lambda1": l1, "lambda2": l2, "lambda12": l12})
+
+
+def _freund_marginal(own: float, other: float, after: float) -> Distribution1D:
+    """A Freund component: rate `own` while its partner (rate `other`)
+    lives, `after` once it has failed.  The law is the mixture
+    (own/A) Exp(A) + (other/A) Hypo(A, after), A = own + other, with survival
+    e^{-Ax} + other e^{-mx} (1 - e^{-dx})/d, m = min(A, after) and
+    d = |A - after|: no term cancels as after -> A, where the last factor
+    tends to x."""
+    A = own + other
+    m, d = min(A, after), abs(A - after)
+
+    def ramp(x):  # e^{-mx} (1 - e^{-dx})/d
+        return np.exp(-m * x) * (-np.expm1(-d * x) / d if d > 0 else x)
+
+    def cdf(x):
+        x = np.asarray(x, dtype=float)
+        return -np.expm1(-A * x) - other * ramp(x)
+
+    def density(x):
+        x = np.asarray(x, dtype=float)
+        return own * np.exp(-A * x) + other * after * ramp(x)
+
+    return Distribution1D(
+        ac_weight=1.0,
+        ac_density=density,
+        ac_cdf=cdf,
+        transform_terms=[("gamma", own / A, A, 1.0), ("hypoexp", other / A, A, after)],
+        density_at_zero=own,
+    )
+
+
+def freund(alpha: float, alpha_prime: float, beta: float, beta_prime: float) -> BlmJoint:
+    """Freund's bivariate exponential: X and Y fail at rates alpha and beta,
+    and the survivor's rate becomes alpha' (X, once Y has failed) or beta'.
+    The lack-of-memory law with theta = alpha + beta and no diagonal mass."""
+    if not _finite_positive(alpha, alpha_prime, beta, beta_prime):
+        raise ParameterOutOfRange("freund: all four rates must be finite and > 0")
+    a, ap, b, bp = float(alpha), float(alpha_prime), float(beta), float(beta_prime)
+    spec = BlmSpec(_freund_marginal(a, b, ap), _freund_marginal(b, a, bp), a + b)
+    return BlmJoint(spec, "freund", {"alpha": a, "alpha_prime": ap, "beta": b, "beta_prime": bp})
 
 
 # -- gamma series families ----------------------------------------------------
@@ -1227,10 +1118,10 @@ _register("point-mass", ["location"], "location >= 0",
           lambda p: point_mass(p["location"]))
 _register("marshall-olkin", ["lambda1", "lambda2", "lambda12"],
           "all rates > 0",
-          lambda p: MarshallOlkinJoint(p["lambda1"], p["lambda2"], p["lambda12"]))
+          lambda p: marshall_olkin(p["lambda1"], p["lambda2"], p["lambda12"]))
 _register("freund", ["alpha", "alpha_prime", "beta", "beta_prime"],
           "all four rates > 0",
-          lambda p: FreundJoint(p["alpha"], p["alpha_prime"], p["beta"], p["beta_prime"]))
+          lambda p: freund(p["alpha"], p["alpha_prime"], p["beta"], p["beta_prime"]))
 _register("moran-downton", ["r"], "0 <= r < 1",
           lambda p: moran_downton(p["r"]))
 _register("bivariate-gamma", ["r", "q"], "0 <= r < 1, q > 0",

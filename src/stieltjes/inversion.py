@@ -233,9 +233,9 @@ def oracle_from_distribution(
 ) -> TransformOracle:
     """Closed-form transform oracle for catalog laws and their mixtures.
 
-    Atom and gamma-family components get exact derivatives of every order;
-    a stable component limits the oracle to plain evaluation (derivatives
-    then fall back to synthesis).
+    Atom, gamma-family and hypoexponential components get exact derivatives
+    of every order; a stable component limits the oracle to plain evaluation
+    (derivatives then fall back to synthesis).
     """
     terms = dist.transform_terms
     if terms is None:
@@ -254,12 +254,15 @@ def oracle_from_distribution(
             elif t[0] == "gamma":
                 _, w, rate, shape = t
                 total += mpf(w) * (mpf(rate) / (mpf(rate) + sm)) ** mpf(shape)
+            elif t[0] == "hypoexp":
+                _, w, a, b = t
+                total += mpf(w) * mpf(a) * mpf(b) / ((mpf(a) + sm) * (mpf(b) + sm))
             else:
                 _, w, alpha = t
                 total += mpf(w) * mp.e ** (-(sm ** mpf(alpha)))
         return total
 
-    derivable = all(t[0] in ("atom", "gamma") for t in terms)
+    derivable = all(t[0] in ("atom", "gamma", "hypoexp") for t in terms)
     if not derivable:
         return TransformOracle(eval=ev, deriv=None, max_k=0,
                                precision_bits=precision_bits)
@@ -271,6 +274,13 @@ def oracle_from_distribution(
             if t[0] == "atom":
                 _, m, loc = t
                 total += mpf(m) * (-mpf(loc)) ** k * mp.e ** (-sm * mpf(loc))
+            elif t[0] == "hypoexp":
+                # (-1)^k k! w a b sum_j (a+s)^{-j-1} (b+s)^{-(k-j)-1}: every
+                # term has one sign, so nothing cancels as b -> a
+                _, w, a, b = t
+                ia, ib = 1 / (mpf(a) + sm), 1 / (mpf(b) + sm)
+                total += (mpf(w) * mpf(a) * mpf(b) * (-1) ** k * mp.factorial(k) * ia * ib
+                          * mp.fsum(ia**j * ib**(k - j) for j in range(k + 1)))
             else:
                 _, w, rate, shape = t
                 rate, shape = mpf(rate), mpf(shape)

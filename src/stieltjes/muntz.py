@@ -22,7 +22,6 @@ from typing import Iterator, NamedTuple, Sequence
 import numpy as np
 from mpmath import mp, mpf
 
-from ._quadrature import adaptive_quad
 from .errors import ParameterOutOfRange, QCollidesWithLambda
 
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -349,35 +348,3 @@ def sup_norm_estimate(approx: MuntzApproximant, grid_size: int | None = None) ->
             "evaluation precision is insufficient"
         )
     return SupEstimate(sup, arg)
-
-
-def qn_integral_step(
-    prev: MuntzApproximant, lam_n: float, x: float, tol: float = 1e-10
-) -> float:
-    """One step of the defining integral recursion, evaluated numerically:
-    (lambda_n - q) x^{lambda_n} integral_x^1 Q_{n-1}(t) t^{-(1+lambda_n)} dt.
-
-    Uses float evaluation of Q_{n-1}; intended for small n as an independent
-    check of the coefficient recursion.
-    """
-    if not 0.0 < x <= 1.0:
-        raise ParameterOutOfRange("x must lie in (0, 1]")
-    if x == 1.0:
-        return 0.0
-    coeffs = prev.coeffs_float
-    lams = np.array(prev.lambdas)
-    q = prev.q
-
-    def qprev(t):
-        t = np.asarray(t, dtype=float)
-        out = t**q
-        for c, lam in zip(coeffs, lams):
-            out = out - c * t**lam
-        return out
-
-    # scaled by (x/t)^{lambda_n} inside, so `tol` applies to the O(1) result
-    # rather than to an integral of size up to x^{-lambda_n}
-    res = adaptive_quad(
-        lambda t: (lam_n - q) * qprev(t) * (x / t) ** lam_n / t, x, 1.0, tol
-    )
-    return res.value

@@ -255,6 +255,22 @@ def _product_spec(n):
                        "params": {f"lambda{i}": float(i) for i in range(1, n + 1)}})
 
 
+def test_freund_near_equal_rates_cli(capsys):
+    # alpha' 1e-9 above alpha + beta: the survival route printed
+    # 0.1603297986940695 +- 8.4e-12 and verify-identity failed
+    spec = ('{"kind":"freund","params":{"alpha":1,"alpha_prime":2.000000001,'
+            '"beta":1,"beta_prime":1.5}}')
+    exact = 0.16032982136781766  # 40-digit closed form
+    code, out, _ = run(capsys, "transform", "--spec", spec, "--s", "1.7,2.2",
+                       "--route", "survival", "--tol", "1e-10")
+    assert code == 0
+    doc = json.loads(out)
+    assert abs(doc["value"] - exact) <= doc["est_error"]
+    code, out, _ = run(capsys, "verify-identity", "--spec", spec, "--s", "1.7,2.2")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_transform_beyond_dimension_4_cli(capsys):
     code, out, err = run(capsys, "transform", "--spec", _product_spec(6),
                          "--s", ",".join(["1"] * 6), "--route", "carson", "--tol", "1e-8")

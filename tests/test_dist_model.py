@@ -90,8 +90,8 @@ NAN, INF = math.nan, math.inf
     lambda: dm.bivariate_gamma(0.3, NAN),
     lambda: dm.trivariate_gamma(NAN, 0.3, 0.3),
     lambda: dm.trivariate_gamma(1.0, NAN, 0.3),
-    lambda: dm.MarshallOlkinJoint(NAN, 1.0, 1.0),
-    lambda: dm.FreundJoint(NAN, 1.0, 1.0, 1.0),
+    lambda: dm.marshall_olkin(NAN, 1.0, 1.0),
+    lambda: dm.freund(NAN, 1.0, 1.0, 1.0),
     lambda: dm.BlmSpec(dm.exponential(1.0), dm.exponential(2.0), NAN),
 ], ids=["exp-nan", "exp-inf", "gamma-nan-lambda", "gamma-nan-q", "gamma-inf-q",
         "point-nan", "point-inf", "mixture-nan-weight", "bigamma-nan-q",
@@ -539,16 +539,30 @@ def test_freund_marginal_consistency():
         assert abs(float(my.cdf(x)) - float(fr.cdf(400.0, x))) <= 1e-9
 
 
+def freund_density(alpha, alpha_prime, beta, beta_prime, x, y):
+    """Freund's joint density (Freund 1961): alpha' beta
+    e^{-(A - alpha') y - alpha' x} below the diagonal and alpha beta'
+    e^{-(A - beta') x - beta' y} above it, A = alpha + beta; 0 off the
+    open quadrant."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    A = alpha + beta
+    lower = alpha_prime * beta * np.exp(-(A - alpha_prime) * y - alpha_prime * x)
+    upper = alpha * beta_prime * np.exp(-(A - beta_prime) * x - beta_prime * y)
+    return np.where((x <= 0) | (y <= 0), 0.0, np.where(x > y, lower, upper))
+
+
 def test_freund_cdf_matches_density_integral():
     # the density jumps across the diagonal, so integrate y with a
     # breakpoint at y=x inside an outer (non-vectorized) x integration
-    fr = dm.make_catalog("freund", {"alpha": 1, "alpha_prime": 2, "beta": 1, "beta_prime": 2})
+    rates = {"alpha": 1, "alpha_prime": 2, "beta": 1, "beta_prime": 2}
+    fr = dm.make_catalog("freund", rates)
     from stieltjes._quadrature import adaptive_quad
 
     for (X, Y) in [(0.7, 1.2), (1.5, 0.4)]:
         def inner(x):
             return adaptive_quad(
-                lambda y, xv=x: np.asarray(fr.density(xv, y)),
+                lambda y, xv=x: freund_density(*rates.values(), xv, y),
                 0.0, Y, 1e-12, breakpoints=[x],
             ).value
 
@@ -557,6 +571,91 @@ def test_freund_cdf_matches_density_integral():
 
         res = adaptive_quad(outer, 0.0, X, 1e-10, breakpoints=[Y])
         assert abs(res.value - float(fr.cdf(X, Y))) <= 1e-8
+
+
+# the classical formulas of the two lack-of-memory catalog laws, in 40-digit
+# arithmetic; the library builds both as BlmJoint and reads none of these.
+# Transforms and survival values are compared within 4 ulps of 1, their scale.
+_ULPS_OF_ONE = 4 * math.ulp(1.0)
+
+
+def _mo_survival(l1, l2, l12, x, y):
+    return mpmath.exp(-l1 * x - l2 * y - l12 * max(x, y))
+
+
+def _mo_closed(l1, l2, l12, s, t):
+    lam = l1 + l2 + l12
+    num = (lam + s + t) * (l1 + l12) * (l2 + l12) + s * t * l12
+    return num / ((lam + s + t) * (l1 + l12 + s) * (l2 + l12 + t))
+
+
+def _freund_survival(a, ap, b, bp, x, y):
+    """P(X > x, Y > y): on x >= y, e^{-Ax} + b (e^{-a' x - (A - a') y} -
+    e^{-Ax})/(A - a'), and the mirror above the diagonal; A = a + b."""
+    A = a + b
+    if x < y:
+        a, ap, b, x, y = b, bp, a, y, x
+    c = A - ap
+    if c == 0:
+        return mpmath.exp(-A * x) * (1 + b * (x - y))
+    return mpmath.exp(-A * x) + b * (mpmath.exp(-ap * x - c * y) - mpmath.exp(-A * x)) / c
+
+
+def _freund_closed(a, ap, b, bp, s, t):
+    return (ap * b / (ap + s) + a * bp / (bp + t)) / (a + b + s + t)
+
+
+def _freund_marginal_closed(own, other, after, s):
+    A = own + other
+    return own / (A + s) + other * after / ((A + s) * (after + s))
+
+
+def test_marshall_olkin_matches_the_classical_formulas():
+    rng = np.random.default_rng(11)
+    pts = np.linspace(0.0, 4.0, 17)
+    with mpmath.workdps(40):
+        for l1, l2, l12 in rng.uniform(0.2, 5.0, size=(12, 3)):
+            mo = dm.marshall_olkin(l1, l2, l12)
+            assert mo.spec.singular_mass == pytest.approx(l12 / (l1 + l2 + l12), rel=1e-14)
+            surv = mo.survival(pts[:, None], pts[None, :])
+            cdf = mo.cdf(pts[:, None], pts[None, :])
+            for (i, x), (j, y) in itertools.product(enumerate(pts), repeat=2):
+                ref = _mo_survival(*map(mpmath.mpf, (l1, l2, l12, x, y)))
+                ref_cdf = (ref - 1 + (1 - mpmath.exp(-(l1 + l12) * x))
+                           + (1 - mpmath.exp(-(l2 + l12) * y)))
+                assert abs(surv[i, j] - ref) <= _ULPS_OF_ONE, (l1, l2, l12, x, y)
+                assert abs(cdf[i, j] - ref_cdf) <= _ULPS_OF_ONE, (l1, l2, l12, x, y)
+            for s, t in rng.uniform(0.02, 50.0, size=(8, 2)):
+                ref = _mo_closed(*map(mpmath.mpf, (l1, l2, l12, s, t)))
+                assert abs(mo.closed_ls((s, t))[0] - ref) <= _ULPS_OF_ONE, (l1, l2, l12, s, t)
+
+
+@pytest.mark.parametrize("delta", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+def test_freund_near_equal_rates_matches_the_classical_formulas(delta):
+    # a post-failure rate at alpha + beta + delta: the signed Exp(A) and
+    # Exp(alpha') terms of the classical marginal cancel there, and the
+    # closed form of the marginal read 2.3e-8 off at delta = 1e-9
+    rng = np.random.default_rng(13)
+    pts = np.linspace(0.0, 4.0, 9)
+    with mpmath.workdps(40):
+        for a, b, other_after in rng.uniform(0.2, 5.0, size=(8, 3)):
+            for mirror in (False, True):
+                ap, bp = (other_after, a + b + delta) if mirror else (a + b + delta, other_after)
+                fr = dm.freund(a, ap, b, bp)
+                rates = tuple(map(mpmath.mpf, (a, ap, b, bp)))
+                assert fr.spec.singular_mass == 0.0
+                for s in (0.02, 0.3, 1.7, 5.0, 50.0):
+                    for ax, args in ((0, (a, b, ap)), (1, (b, a, bp))):
+                        ref = _freund_marginal_closed(*map(mpmath.mpf, (*args, s)))
+                        got = fr.marginal((ax,)).closed_ls(s)
+                        assert abs(got - ref) <= _ULPS_OF_ONE, (a, b, ap, bp, ax, s)
+                    t = rng.uniform(0.02, 50.0)
+                    ref = _freund_closed(*rates, mpmath.mpf(s), mpmath.mpf(t))
+                    assert abs(fr.closed_ls((s, t))[0] - ref) <= _ULPS_OF_ONE, (a, b, ap, bp, s, t)
+                surv = fr.survival(pts[:, None], pts[None, :])
+                for (i, x), (j, y) in itertools.product(enumerate(pts), repeat=2):
+                    ref = _freund_survival(*rates, mpmath.mpf(x), mpmath.mpf(y))
+                    assert abs(surv[i, j] - ref) <= _ULPS_OF_ONE, (a, b, ap, bp, x, y)
 
 
 def test_gamma_series_tail_rejection():

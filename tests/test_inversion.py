@@ -49,6 +49,23 @@ def test_oracle_sign_alternation():
                 assert (-1) ** k * float(o.deriv(k, s)) >= -1e-12
 
 
+def test_oracle_reads_hypoexp_terms():
+    # a Freund marginal is (alpha/A) Exp(A) + (beta/A) Hypo(A, alpha'); its
+    # derivatives against mpmath's differentiation of the oracle's own value,
+    # at alpha' = A too, where a difference of Exp terms would divide by 0
+    for after in (3.0, 2.5, 0.7):
+        d = dm.freund(1.0, after, 1.5, 2.0).marginal((0,))
+        o = inv.oracle_from_distribution(d)
+        assert o.max_k > 100
+        with mp.workdps(40):
+            for s in (0.3, 1.0, 4.0):
+                assert abs(float(o.eval(s)) - d.closed_ls(s)) <= 1e-15
+                for k in range(1, 7):
+                    exact = o.deriv(k, mpf(s))
+                    assert (-1) ** k * exact > 0
+                    assert abs(exact - mp.diff(o.eval, mpf(s), k)) <= mpf(10) ** -25 * abs(exact)
+
+
 # ---------------------------------------------------------------------------
 # Post-Widder
 

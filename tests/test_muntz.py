@@ -7,11 +7,41 @@ from hypothesis import strategies as st
 from mpmath import mp
 
 from stieltjes import muntz as mu
+from stieltjes._quadrature import adaptive_quad
 from stieltjes.errors import ParameterOutOfRange, QCollidesWithLambda
 
 
 def product_bound(q, lambdas):
     return math.prod(abs(1.0 - q / lam) for lam in lambdas)
+
+
+def qn_integral_step(prev, lam_n, x, tol=1e-10):
+    """One step of the defining integral recursion, evaluated numerically:
+    (lambda_n - q) x^{lambda_n} integral_x^1 Q_{n-1}(t) t^{-(1+lambda_n)} dt,
+    for x in (0, 1].
+
+    Uses float evaluation of Q_{n-1}; for small n, an independent check of
+    the coefficient recursion.
+    """
+    if x == 1.0:
+        return 0.0
+    coeffs = prev.coeffs_float
+    lams = np.array(prev.lambdas)
+    q = prev.q
+
+    def qprev(t):
+        t = np.asarray(t, dtype=float)
+        out = t**q
+        for c, lam in zip(coeffs, lams):
+            out = out - c * t**lam
+        return out
+
+    # scaled by (x/t)^{lambda_n} inside, so `tol` applies to the O(1) result
+    # rather than to an integral of size up to x^{-lambda_n}
+    res = adaptive_quad(
+        lambda t: (lam_n - q) * qprev(t) * (x / t) ** lam_n / t, x, 1.0, tol
+    )
+    return res.value
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +221,7 @@ def test_recursion_matches_integral_steps():
     prev = mu.golitschek_coeffs(q, [], None)  # Q_0
     for ap, lam in zip(approxes, lambdas):
         worst = max(
-            abs(mu.qn_integral_step(prev, lam, float(x)) - mu.qn_eval(ap, float(x)))
+            abs(qn_integral_step(prev, lam, float(x)) - mu.qn_eval(ap, float(x)))
             for x in xs
         )
         assert worst <= 1e-8, f"n={ap.n}: {worst}"

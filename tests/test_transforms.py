@@ -337,10 +337,20 @@ def _blm(f_lambda, g_lambda, p):
     return dm.BlmJoint(dm.BlmSpec(dm.exponential(f_lambda), dm.exponential(g_lambda), theta))
 
 
+def _freund_near_equal_rates(alpha, beta, after, delta, mirror):
+    # one post-failure rate within delta of alpha + beta, where the classical
+    # Freund formulas cancel
+    near = alpha + beta + delta
+    return dm.freund(alpha, after, beta, near) if mirror else dm.freund(alpha, near, beta, after)
+
+
 _RATE = st.floats(0.2, 5.0)
 _LAWS_2D = st.one_of(
-    st.builds(dm.MarshallOlkinJoint, _RATE, _RATE, _RATE),
-    st.builds(dm.FreundJoint, _RATE, _RATE, _RATE, _RATE),
+    st.builds(dm.marshall_olkin, _RATE, _RATE, _RATE),
+    st.builds(dm.freund, _RATE, _RATE, _RATE, _RATE),
+    st.builds(_freund_near_equal_rates, _RATE, _RATE, _RATE,
+              st.sampled_from([0.0, 1e-12, -1e-12, 1e-9, -1e-9, -1.6e-8, 1e-6, -1e-6]),
+              st.booleans()),
     st.builds(_blm, _RATE, _RATE, st.floats(0.0, 1.0)),
     st.builds(dm.moran_downton, st.floats(0.0, 0.9)),
     st.builds(dm.bivariate_gamma, st.floats(0.0, 0.9), st.floats(0.3, 3.0)),
@@ -355,6 +365,10 @@ _LOG_UNIFORM_S = st.floats(math.log(0.02), math.log(50.0)).map(math.exp)
 # near the series cap the truncated series leaves 9.3e-11 of mass out of the
 # survival function: the value read -1.05e-10 +- 1.3e-11 against 1.4e-14
 @example(dist=dm.bivariate_gamma(0.9915, 5.0), s=(1.0, 2.0), route="survival", tol=1e-10)
+# alpha' 1.6e-8 below alpha + beta, where the classical Freund CDF cancels:
+# the value broke its bound 3.3-fold
+@example(dist=dm.freund(1.0, 1.0 + 4.3 - 1.6e-8, 4.3, 2.8), s=(0.7, 3.0), route="carson",
+         tol=1e-10)
 def test_joint_est_error_bounds_the_error(dist, s, route, tol):
     tv = tr.transform_value(dist, s, route=route, tol=tol)
     closed = tr.closed_form_ls(dist, s)
@@ -374,7 +388,7 @@ def test_small_shape_gamma_series_corner():
 def test_freund_equal_rate_degeneracy():
     # alpha + beta equal to a post-failure rate is a removable singularity
     # of the closed CDF; routes must still agree
-    fr = dm.FreundJoint(1.5, 2.1, 0.6, 2.1)
+    fr = dm.freund(1.5, 2.1, 0.6, 2.1)
     closed = tr.closed_form_ls(fr, (2.0, 3.5))
     carson = tr.ls_carson(fr, (2.0, 3.5), tol=1e-8)
     surv = tr.ls_survival_route(fr, 2.0, 3.5, tol=1e-8)
